@@ -57,9 +57,10 @@ def cmd_train(args) -> int:
     m = result.metrics
     print(f"run dir: {result.output_dir}")
     print(f"flops {m['flops_ratio']:.1%} of dense, params {m['params_ratio']:.1%}")
-    print(f"zero groups {m['achieved_zero_groups']} / target {m['target_zero_groups']}")
+    print(f"zero groups {m['zero_groups']} / target {m['target_zero_groups']}"
+          f"{'' if m['target_met'] else ' (MISSED)'}")
     print(f"equivalence max |diff| = {m['equivalence']['max_abs_diff']:.3e} "
-          f"({'pass' if result.ok else 'FAIL'})")
+          f"({'pass' if m['equivalence']['passed'] else 'FAIL'})")
     return 0 if result.ok else 1
 
 
@@ -122,7 +123,7 @@ def cmd_report(args) -> int:
     print(f"params: {m['params_compressed']} / {m['params_full']} "
           f"({m['params_ratio']:.1%})")
     print(f"group sparsity: {m['group_sparsity']:.1%} "
-          f"({m['achieved_zero_groups']} zero groups, target {m['target_zero_groups']})")
+          f"({m['zero_groups']} zero groups, target {m['target_zero_groups']})")
     print(f"test accuracy: full {m['final_test_accuracy']:.4f}, "
           f"compressed {m['compressed_test_accuracy']:.4f}")
     print(f"mean epoch seconds: {m['mean_epoch_seconds']:.2f}")

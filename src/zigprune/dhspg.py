@@ -149,9 +149,6 @@ class DhspgOptimizer:
     def group_sparsity(self) -> float:
         return self.zero_group_count() / len(self.groups) if self.groups else 0.0
 
-    def frozen_count(self) -> int:
-        return sum(gs.frozen for gs in self.groups)
-
     def penalty_stats(self) -> dict:
         lams = [gs.penalty for gs in self.groups if gs.penalized and not gs.frozen]
         if not lams:
@@ -296,8 +293,3 @@ class DhspgOptimizer:
         else:
             self.x = trial
         self.t += 1
-
-    def hspg_step(self, grad: np.ndarray) -> None:
-        if self.cfg.mode != "hspg":
-            raise ConfigError("hspg_step requires mode='hspg'")
-        self.step(grad)

@@ -26,8 +26,6 @@ from .graph import (
     MaxPool,
     Mul,
     ReLU,
-    SD_JOINT,
-    SID_JOINT,
     Unknown,
 )
 
@@ -102,15 +100,32 @@ def _pool_scatter(dwin: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: i
     return dx
 
 
+def _tiles(kind, x_shape) -> bool:
+    """True when the pooling windows tile the input exactly (no overlap, no rest)."""
+    k = kind.kernel
+    return kind.stride == k and x_shape[2] % k == 0 and x_shape[3] % k == 0
+
+
+def _bn_view(x: np.ndarray) -> np.ndarray:
+    """(N, C) or (N, C, H, W) as (N, C, S): BatchNorm reduces over axes 0 and 2."""
+    return x.reshape(x.shape[0], x.shape[1], -1)
+
+
 # ---------------------------------------------------------------------------
 # per-vertex forward
 # ---------------------------------------------------------------------------
 
-def _forward_vertex(vx, xs: list[np.ndarray], mode: str):
+def _forward_vertex(vx, xs: list[np.ndarray], mode: str, src=None, cols_memo=None):
+    """``src`` names the tensor a single-input vertex reads; convolutions that
+    read one ``src`` with one geometry share an im2col result in ``cols_memo``."""
     kind = vx.kind
     if isinstance(kind, Conv2d):
         x, = xs
-        cols, ho, wo = _im2col(x, kind.kernel, kind.stride, kind.padding)
+        key = (src, kind.kernel, kind.stride, kind.padding)
+        memo = {} if cols_memo is None else cols_memo
+        if key not in memo:
+            memo[key] = _im2col(x, kind.kernel, kind.stride, kind.padding)
+        cols, ho, wo = memo[key]
         out = cols @ vx.params.weight.T
         if vx.params.bias is not None:
             out += vx.params.bias
@@ -126,23 +141,25 @@ def _forward_vertex(vx, xs: list[np.ndarray], mode: str):
     if isinstance(kind, BatchNorm):
         x, = xs
         p = vx.params
-        axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        expand = (lambda a: a[None, :, None, None]) if x.ndim == 4 else (lambda a: a[None, :])
+        x3 = _bn_view(x)
         if mode == "train":
-            mean = x.mean(axis=axes)
-            var = (x * x).mean(axis=axes) - mean * mean
+            m = x3.shape[0] * x3.shape[2]
+            mean = np.einsum("ncs->c", x3) / m
+            var = np.einsum("ncs,ncs->c", x3, x3) / m - mean * mean
             np.maximum(var, 0.0, out=var)
             p.running_mean *= 1.0 - BN_MOMENTUM
             p.running_mean += BN_MOMENTUM * mean
             p.running_var *= 1.0 - BN_MOMENTUM
             p.running_var += BN_MOMENTUM * var
         else:
-            mean, var = p.running_mean, p.running_var
+            mean, var = p.running_mean.copy(), p.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - expand(mean)) * expand(inv_std)
-        out = expand(p.gamma) * xhat + expand(p.beta)
-        return out, {"xhat": xhat, "inv_std": inv_std, "axes": axes,
-                     "expand": expand, "mode": mode}
+        scale = p.gamma * inv_std
+        out = x3 - mean[:, None]
+        out *= scale[:, None]
+        out += p.beta[:, None]
+        return out.reshape(x.shape), {"x": x3, "mean": mean, "inv_std": inv_std,
+                                      "mode": mode}
     if isinstance(kind, ReLU):
         x, = xs
         mask = x > 0
@@ -157,8 +174,16 @@ def _forward_vertex(vx, xs: list[np.ndarray], mode: str):
         return out, {"arg": arg, "x_shape": x.shape, "ho": ho, "wo": wo}
     if isinstance(kind, AvgPool):
         x, = xs
-        win = _pool_windows(x, kind.kernel, kind.stride)
-        out = win.mean(axis=(-2, -1))
+        k = kind.kernel
+        if _tiles(kind, x.shape):
+            out = x[:, :, ::k, ::k].copy()
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        out += x[:, :, i::k, j::k]
+            out /= k * k
+        else:
+            out = _pool_windows(x, k, kind.stride).mean(axis=(-2, -1))
         return out, {"x_shape": x.shape, "ho": out.shape[2], "wo": out.shape[3]}
     if isinstance(kind, Flatten):
         x, = xs
@@ -183,8 +208,13 @@ def _forward_vertex(vx, xs: list[np.ndarray], mode: str):
     raise GraphError(f"no forward rule for {kind.op!r}")
 
 
-def _backward_vertex(vx, vcache, dout: np.ndarray, grads_out: dict):
-    """Returns gradients w.r.t. the vertex inputs (in input order)."""
+def _backward_vertex(vx, vcache, dout: np.ndarray, grads_out: dict,
+                     need_dx: bool = True):
+    """Returns gradients w.r.t. the vertex inputs (in input order).
+
+    With ``need_dx`` False (a vertex that reads the graph input) Conv2d,
+    Linear and BatchNorm accumulate their parameter gradients and return None.
+    """
     kind = vx.kind
     if isinstance(kind, Conv2d):
         n = dout.shape[0]
@@ -193,6 +223,8 @@ def _backward_vertex(vx, vcache, dout: np.ndarray, grads_out: dict):
         grads_out["weight"] += dflat.T @ vcache["cols"]
         if vx.params.bias is not None:
             grads_out["bias"] += dflat.sum(axis=0)
+        if not need_dx:
+            return None
         dcols = dflat @ vx.params.weight
         dx = _col2im(dcols, vcache["x_shape"], kind.kernel, kind.stride,
                      kind.padding, vcache["ho"], vcache["wo"])
@@ -201,23 +233,31 @@ def _backward_vertex(vx, vcache, dout: np.ndarray, grads_out: dict):
         grads_out["weight"] += dout.T @ vcache["x"]
         if vx.params.bias is not None:
             grads_out["bias"] += dout.sum(axis=0)
+        if not need_dx:
+            return None
         return [dout @ vx.params.weight]
     if isinstance(kind, BatchNorm):
-        xhat, inv_std = vcache["xhat"], vcache["inv_std"]
-        axes, expand = vcache["axes"], vcache["expand"]
-        grads_out["gamma"] += (dout * xhat).sum(axis=axes)
-        grads_out["beta"] += dout.sum(axis=axes)
-        dxhat = dout * expand(vx.params.gamma)
+        # With xhat = (x - mean) * inv_std and a = gamma * inv_std:
+        # sum(d * xhat) = (sum(d * x) - mean * sum(d)) * inv_std, and in train
+        # mode dx = a * (d - sum(d) / m - xhat * sum(d * xhat) / m), which is
+        # a * d + c2 * x + c3 with per-channel c2 and c3.
+        x3, mean, inv_std = vcache["x"], vcache["mean"], vcache["inv_std"]
+        d3 = _bn_view(dout)
+        sum_d = np.einsum("ncs->c", d3)
+        sum_dxhat = (np.einsum("ncs,ncs->c", d3, x3) - mean * sum_d) * inv_std
+        grads_out["gamma"] += sum_dxhat
+        grads_out["beta"] += sum_d
+        if not need_dx:
+            return None
+        scale = vx.params.gamma * inv_std
+        dx = d3 * scale[:, None]
         if vcache["mode"] == "train":
-            m = np.prod([dout.shape[a] for a in axes])
-            dx = (expand(inv_std) / m) * (
-                m * dxhat
-                - expand(dxhat.sum(axis=axes))
-                - xhat * expand((dxhat * xhat).sum(axis=axes))
-            )
-        else:
-            dx = dxhat * expand(inv_std)
-        return [dx]
+            m = d3.shape[0] * d3.shape[2]
+            c2 = -(scale / m) * sum_dxhat * inv_std
+            c3 = -(scale / m) * sum_d - c2 * mean
+            dx += c2[:, None] * x3
+            dx += c3[:, None]
+        return [dx.reshape(dout.shape)]
     if isinstance(kind, ReLU):
         return [dout * vcache["mask"]]
     if isinstance(kind, MaxPool):
@@ -229,9 +269,10 @@ def _backward_vertex(vx, vcache, dout: np.ndarray, grads_out: dict):
         return [_pool_scatter(dwin, vcache["x_shape"], kind.kernel, kind.stride, ho, wo)]
     if isinstance(kind, AvgPool):
         n, c, ho, wo = dout.shape
-        kk = kind.kernel * kind.kernel
-        dwin = np.broadcast_to((dout / kk)[..., None, None],
-                               (n, c, ho, wo, kind.kernel, kind.kernel))
+        k = kind.kernel
+        if _tiles(kind, vcache["x_shape"]):
+            return [np.repeat(np.repeat(dout / (k * k), k, axis=2), k, axis=3)]
+        dwin = np.broadcast_to((dout / (k * k))[..., None, None], (n, c, ho, wo, k, k))
         return [_pool_scatter(dwin, vcache["x_shape"], kind.kernel, kind.stride, ho, wo)]
     if isinstance(kind, Flatten):
         return [dout.reshape(vcache["x_shape"])]
@@ -266,15 +307,16 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
     xs = _as_batch_list(g, inputs)
     acts: dict[int, np.ndarray] = {}
     vcaches: dict[int, dict] = {}
+    cols_memo: dict = {}
     for vid in g.topo_order:
-        vx = g.vertices[vid]
         if vid in g.input_binding:
-            vin = [xs[g.input_binding[vid]]]
+            src = ("input", g.input_binding[vid])
+            vin = [xs[src[1]]]
         else:
-            order = (g.joint_input_order(vid)
-                     if vx.category in (SD_JOINT, SID_JOINT) else g.preds[vid])
-            vin = [acts[p] for p in order]
-        acts[vid], vcaches[vid] = _forward_vertex(vx, vin, mode)
+            src = g.preds[vid][0]
+            vin = [acts[p] for p in g.preds[vid]]
+        acts[vid], vcaches[vid] = _forward_vertex(g.vertices[vid], vin, mode,
+                                                  src, cols_memo)
     out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
     cache = {"acts": acts, "vcaches": vcaches, "mode": mode, "out_id": out_id}
     return acts[out_id], cache
@@ -319,14 +361,12 @@ def backward(g: ComputationGraph, cache, loss: str, targets):
     for vid in reversed(g.topo_order):
         if vid not in dacts:
             continue  # dead-end vertex: no path to the loss
-        vx = g.vertices[vid]
-        dins = _backward_vertex(vx, cache["vcaches"][vid], dacts.pop(vid),
-                                grads.get(vid, {}))
-        if vid in g.input_binding:
+        bound = vid in g.input_binding
+        dins = _backward_vertex(g.vertices[vid], cache["vcaches"][vid],
+                                dacts.pop(vid), grads.get(vid, {}), need_dx=not bound)
+        if bound:
             continue
-        order = (g.joint_input_order(vid)
-                 if vx.category in (SD_JOINT, SID_JOINT) else g.preds[vid])
-        for p, d in zip(order, dins):
+        for p, d in zip(g.preds[vid], dins):
             if p in dacts:
                 dacts[p] = dacts[p] + d
             else:

@@ -59,3 +59,12 @@ class ShapeMismatchAfterPrune(CompressionError):
 
 class ConfigError(ZigpruneError):
     pass
+
+
+class TrainingDiverged(ZigpruneError):
+    """The loss or the gradient went non-finite; ``step`` is the global
+    optimizer step (0-based) whose forward/backward produced it."""
+
+    def __init__(self, step: int, what: str):
+        super().__init__(f"training diverged at step {step}: non-finite {what}")
+        self.step = step

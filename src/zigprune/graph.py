@@ -242,6 +242,7 @@ class ComputationGraph:
     succs: dict[int, list[int]] = field(default_factory=dict, repr=False)
     topo_order: list[int] = field(default_factory=list, repr=False)
     input_ids: list[int] = field(default_factory=list, repr=False)
+    output_id: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self._index()
@@ -261,6 +262,8 @@ class ComputationGraph:
         )
         for v in self.input_ids:
             self.input_binding.setdefault(v, 0)
+        self.output_id = next((v for v, vx in self.vertices.items()
+                               if isinstance(vx.kind, GraphOutput)), None)
 
     def _toposort(self) -> list[int]:
         indeg = {v: len(self.preds[v]) for v in self.vertices}
@@ -282,14 +285,9 @@ class ComputationGraph:
     def topo_index(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.topo_order)}
 
-    @property
-    def output_id(self) -> Optional[int]:
-        outs = [v for v, vx in self.vertices.items() if isinstance(vx.kind, GraphOutput)]
-        return outs[0] if outs else None
-
     def joint_input_order(self, vid: int) -> list[int]:
-        """Incoming vertices in edge-list appearance order."""
-        return [src for src, dst in self.edges if dst == vid]
+        """Incoming vertices in edge-list appearance order (``preds`` keeps it)."""
+        return self.preds[vid]
 
     def trainable_param_count(self) -> int:
         return sum(
@@ -528,9 +526,7 @@ def infer_shapes(g: ComputationGraph) -> ComputationGraph:
             if vx.category in (SD_JOINT, SID_JOINT):
                 raise GraphError(f"joint vertex {vid} cannot be a graph input")
         else:
-            order = (g.joint_input_order(vid)
-                     if vx.category in (SD_JOINT, SID_JOINT) else g.preds[vid])
-            in_shapes = [g.vertices[p].out_shape for p in order]
+            in_shapes = [g.vertices[p].out_shape for p in g.preds[vid]]
             if any(s is None for s in in_shapes):
                 raise GraphError(f"vertex {vid} has an unshaped predecessor")
         vx.out_shape = _infer_vertex_shape(vx, in_shapes)

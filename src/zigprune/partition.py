@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -84,12 +83,6 @@ class PartitionResult:
     def excluded_ids(self) -> set[int]:
         return {e.component_id for e in self.excluded}
 
-    def component_of_stem(self, vid: int) -> Optional[int]:
-        for ci, comp in enumerate(self.components):
-            if vid in comp.stem_ids:
-                return ci
-        return None
-
     def groups_of_component(self, ci: int) -> list[ZeroInvariantGroup]:
         return [z for z in self.zigs if z.component_id == ci]
 
@@ -156,10 +149,6 @@ def zero_group(g: ComputationGraph, group: ZeroInvariantGroup) -> None:
 
 def group_is_zero(g: ComputationGraph, group: ZeroInvariantGroup) -> bool:
     return all(not slice_view(g, s).any() for s in group.slices)
-
-
-def group_param_count(group: ZeroInvariantGroup, g: ComputationGraph) -> int:
-    return sum(slice_view(g, s).size for s in group.slices)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_criterion_7_scaled_compression_run(tmp_path):
         removed = json.load(fh)["removed_groups_per_component"]
     assert flops_ratio <= 0.60, (
         f"flops_ratio {flops_ratio} > 0.60; removed groups per component "
-        f"{removed}; zero groups {pruned.metrics['achieved_zero_groups']} "
+        f"{removed}; zero groups {pruned.metrics['zero_groups']} "
         f"of target {pruned.metrics['target_zero_groups']}")
     assert abs(acc_dense - acc_pruned) <= 0.03, (acc_dense, acc_pruned)
     elapsed = time.time() - t0

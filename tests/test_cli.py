@@ -20,11 +20,13 @@ def exp_file(tmp_path):
     doc = {
         "graph": {"builder": "demo_net"},
         "dataset": {"kind": "synthetic-classification",
-                    "n_train": 512, "n_test": 128},
-        "optimizer": {"learning_rate": 0.1, "lr_period_epochs": 2,
-                      "default_penalty": 0.5},
-        "epochs": 4,
-        "batch_size": 128,
+                    "n_train": 1024, "n_test": 128},
+        "optimizer": {"learning_rate": 0.1, "lr_period_epochs": 100,
+                      "default_penalty": 1.0, "penalty_amplify": 16.0,
+                      "warmup_steps": 16, "project_start_step": 16,
+                      "salience_cos_weight": 0.0, "salience_mag_weight": 1.0},
+        "epochs": 8,
+        "batch_size": 64,
         "seed": 0,
         "target_zero_fraction": 0.25,
         "output_dir": str(tmp_path / "run"),

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from zigprune.builders import BUILDERS, demo_net
-from zigprune.engine import accuracy, backward, evaluate_loss, forward
+from zigprune.engine import (
+    _backward_vertex,
+    _forward_vertex,
+    accuracy,
+    backward,
+    evaluate_loss,
+    forward,
+)
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
 from zigprune.paramvec import ParamIndex
@@ -159,11 +166,12 @@ def test_unknown_op_not_executable():
         forward(g, np.zeros((1, 2, 2, 2)))
 
 
-def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4):
+def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
+                            mode="train"):
     """Central differences on random parameter coordinates."""
     rng = np.random.default_rng(seed)
     xs = [rng.normal(size=(batch, *s[1:])) for s in g.input_shapes]
-    out, cache = forward(g, xs, mode="train")
+    out, cache = forward(g, xs, mode=mode)
     if loss == "cross_entropy":
         targets = rng.integers(0, out.shape[1], size=batch)
     else:
@@ -179,7 +187,7 @@ def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4):
             vec = base.copy()
             vec[c] += sign * h
             index.scatter(g, vec)
-            out_p, _ = forward(g, xs, mode="train")
+            out_p, _ = forward(g, xs, mode=mode)
             if sign > 0:
                 f_plus = evaluate_loss(out_p, loss, targets)
             else:
@@ -242,3 +250,187 @@ def test_batchnorm_on_2d_features():
     g = infer_shapes(build_graph(doc))
     init_params(g, np.random.default_rng(9))
     assert finite_difference_check(g, "mse", n_coords=30, seed=10, batch=6) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# fast paths: BatchNorm, pooling, shared im2col, input-bound vertices
+# ---------------------------------------------------------------------------
+
+def graph_of(input_shape, vertices, edges, seed=0):
+    doc = {"input_shapes": [list(input_shape)],
+           "vertices": [{"id": i, **v} for i, v in enumerate(vertices)],
+           "edges": edges}
+    g = infer_shapes(build_graph(doc))
+    init_params(g, np.random.default_rng(seed))
+    return g
+
+
+def conv_spec(cin, cout, k=3, stride=1, pad=1):
+    return {"op": "conv2d", "kernel": k, "stride": stride, "padding": pad,
+            "in_channels": cin, "out_channels": cout}
+
+
+def randomize_bn(g, seed):
+    """Non-trivial gamma, beta and running statistics on every BatchNorm."""
+    rng = np.random.default_rng(seed)
+    for vx in g.vertices.values():
+        p = vx.params
+        if p is not None and p.gamma is not None:
+            c = p.gamma.shape[0]
+            p.gamma = rng.uniform(0.5, 1.5, c)
+            p.beta = rng.normal(size=c)
+            p.running_mean = rng.normal(size=c)
+            p.running_var = rng.uniform(0.5, 2.0, c)
+    return g
+
+
+def bn_conv_graph():
+    """conv -> BN (4-D) -> relu -> avg_pool -> flatten -> linear -> BN (2-D)."""
+    return randomize_bn(graph_of((1, 2, 4, 4), [
+        conv_spec(2, 3),
+        {"op": "batch_norm", "channels": 3},
+        {"op": "relu"},
+        {"op": "avg_pool", "kernel": 2, "stride": 2},
+        {"op": "flatten"},
+        {"op": "linear", "in_features": 12, "out_features": 4},
+        {"op": "batch_norm", "channels": 4},
+    ], [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]], seed=12), seed=13)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_gradients_4d_and_2d(mode):
+    g = bn_conv_graph()
+    assert finite_difference_check(g, "mse", n_coords=60, seed=14, batch=5,
+                                   mode=mode) < 1e-5
+
+
+def test_batchnorm_backward_on_eval_cache():
+    g = bn_conv_graph()
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(3, 2, 4, 4))
+    out, cache = forward(g, x, mode="eval")
+    _, grads = backward(g, cache, "mse", np.zeros_like(out))
+    # eval BN is y = (x - running_mean) * gamma / sqrt(running_var + eps) + beta
+    p = g.vertices[6].params
+    xin = cache["acts"][5]
+    xhat = (xin - p.running_mean) / np.sqrt(p.running_var + 1e-5)
+    d = out / out.shape[0]  # mse gradient at zero targets
+    assert np.abs(grads[6]["gamma"] - (d * xhat).sum(axis=0)).max() < 1e-12
+    assert np.abs(grads[6]["beta"] - d.sum(axis=0)).max() < 1e-12
+    dx = _backward_vertex(g.vertices[6], cache["vcaches"][6], d,
+                          {"gamma": np.zeros(4), "beta": np.zeros(4)})[0]
+    want = d * p.gamma / np.sqrt(p.running_var + 1e-5)
+    assert np.abs(dx - want).max() < 1e-12
+
+
+def loop_avg_pool(x, k, stride):
+    n, c, h, w = x.shape
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    out = np.zeros((n, c, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            out[:, :, i, j] = x[:, :, i * stride:i * stride + k,
+                                j * stride:j * stride + k].mean(axis=(2, 3))
+    return out
+
+
+@pytest.mark.parametrize("k,stride,size", [(2, 2, 4), (3, 3, 6), (2, 2, 5),
+                                           (3, 2, 5), (2, 1, 4)])
+def test_avg_pool_matches_loop_and_finite_differences(k, stride, size):
+    ho = (size - k) // stride + 1
+    g = graph_of((1, 2, size, size), [
+        conv_spec(2, 2),
+        {"op": "avg_pool", "kernel": k, "stride": stride},
+        {"op": "flatten"},
+        {"op": "linear", "in_features": 2 * ho * ho, "out_features": 3},
+    ], [[0, 1], [1, 2], [2, 3]], seed=16)
+    x = np.random.default_rng(17).normal(size=(2, 2, size, size))
+    _, cache = forward(g, x, mode="eval")
+    want = loop_avg_pool(cache["acts"][0], k, stride)
+    assert np.abs(cache["acts"][1] - want).max() < 1e-14
+    assert finite_difference_check(g, "mse", n_coords=40, seed=18) < 1e-5
+
+
+@pytest.mark.parametrize("from_input", [True, False])
+@pytest.mark.parametrize("geometry", [(3, 1, 1), (1, 1, 0)])
+def test_convs_reading_one_tensor(from_input, geometry):
+    k, stride, pad = geometry
+    head = [] if from_input else [conv_spec(2, 2, 1, 1, 0), {"op": "relu"}]
+    base = len(head)
+    g = graph_of((1, 2, 4, 4), head + [
+        conv_spec(2, 3),
+        conv_spec(2, 3, k, stride, pad),
+        {"op": "add"},
+        {"op": "flatten"},
+        {"op": "linear", "in_features": 48, "out_features": 2},
+    ], ([[0, 1], [1, 2], [1, 3]] if head else [])
+        + [[base, base + 2], [base + 1, base + 2], [base + 2, base + 3],
+           [base + 3, base + 4]], seed=19)
+    x = np.random.default_rng(20).normal(size=(2, 2, 4, 4))
+    _, cache = forward(g, x, mode="train")
+    src = x if from_input else cache["acts"][1]
+    for vid, (kk, ss, pp) in ((base, (3, 1, 1)), (base + 1, geometry)):
+        p = g.vertices[vid].params
+        want = loop_conv2d(src, p.weight, p.bias, kk, ss, pp)
+        assert np.abs(cache["acts"][vid] - want).max() < 1e-12
+    shared = cache["vcaches"][base]["cols"] is cache["vcaches"][base + 1]["cols"]
+    assert shared == (geometry == (3, 1, 1))
+    assert finite_difference_check(g, "mse", n_coords=60, seed=21) < 1e-5
+
+
+@pytest.mark.parametrize("first", [
+    {"op": "linear", "in_features": 6, "out_features": 4},
+    {"op": "batch_norm", "channels": 6},
+])
+def test_vertex_bound_to_graph_input(first):
+    width = first.get("out_features", 6)
+    g = randomize_bn(graph_of((1, 6), [
+        first,
+        {"op": "relu"},
+        {"op": "linear", "in_features": width, "out_features": 3},
+    ], [[0, 1], [1, 2]], seed=22), seed=23)
+    assert 0 in g.input_binding
+    for mode in ("train", "eval"):
+        assert finite_difference_check(g, "mse", n_coords=30, seed=24, batch=5,
+                                       mode=mode) < 1e-5
+
+
+def two_pass_batchnorm(x, d, gamma, beta):
+    """BatchNorm train forward and backward written out as the textbook
+    two-pass formula: centre first, then scale; the reference for the
+    folded per-channel form the engine uses."""
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+    m = x.size // x.shape[1]
+    mean = x.mean(axis=axes)
+    centred = x - mean.reshape(shape)
+    var = (centred * centred).mean(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = centred * inv_std.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    dxhat = d * gamma.reshape(shape)
+    dx = (inv_std.reshape(shape) / m) * (
+        m * dxhat - dxhat.sum(axis=axes).reshape(shape)
+        - xhat * (dxhat * xhat).sum(axis=axes).reshape(shape))
+    return out, dx, (d * xhat).sum(axis=axes), d.sum(axis=axes)
+
+
+@pytest.mark.parametrize("shape", [(16, 3, 5, 5), (64, 5)])
+def test_folded_batchnorm_matches_two_pass_oracle(shape):
+    # Per-channel means ten times the standard deviation: the regime where
+    # sum(d * x) - mean * sum(d) cancels the most.
+    rng = np.random.default_rng(25)
+    c = shape[1]
+    std = rng.uniform(0.5, 2.0, c)
+    bshape = (1, c, 1, 1) if len(shape) == 4 else (1, c)
+    x = (10.0 * std * rng.choice([-1.0, 1.0], c)).reshape(bshape) \
+        + std.reshape(bshape) * rng.normal(size=shape)
+    d = rng.normal(size=shape)
+    g = graph_of(shape, [{"op": "batch_norm", "channels": c}], [], seed=26)
+    vx = randomize_bn(g, 27).vertices[0]
+    want = two_pass_batchnorm(x, d, vx.params.gamma, vx.params.beta)
+    out, vcache = _forward_vertex(vx, [x], "train")
+    grads = {"gamma": np.zeros(c), "beta": np.zeros(c)}
+    dx, = _backward_vertex(vx, vcache, d, grads)
+    for got, ref in zip((out, dx, grads["gamma"], grads["beta"]), want):
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()

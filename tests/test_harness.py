@@ -7,7 +7,7 @@ import pytest
 
 from zigprune.dhspg import OptimizerConfig
 from zigprune.datasets import GroupSparseProblem
-from zigprune.errors import ConfigError
+from zigprune.errors import ConfigError, TrainingDiverged
 from zigprune.graph import graphs_structurally_equal, infer_shapes, load_graph
 from zigprune.harness import (
     ExperimentConfig,
@@ -22,12 +22,16 @@ from zigprune.builders import demo_net
 
 
 def small_cfg(tmp_path, name, **over):
+    """128 steps; at seed 3 a 25% target (16 of 64 groups) is met after the
+    fifth of the eight epochs."""
     base = dict(
         graph={"builder": "demo_net"},
-        dataset={"kind": "synthetic-classification", "n_train": 512, "n_test": 128},
-        optimizer=OptimizerConfig(learning_rate=0.1, lr_period_epochs=2,
-                                  default_penalty=0.5),
-        epochs=4, batch_size=128, seed=3,
+        dataset={"kind": "synthetic-classification", "n_train": 1024, "n_test": 128},
+        optimizer=OptimizerConfig(learning_rate=0.1, lr_period_epochs=100,
+                                  default_penalty=1.0, penalty_amplify=16.0,
+                                  warmup_steps=16, project_start_step=16,
+                                  salience_cos_weight=0.0, salience_mag_weight=1.0),
+        epochs=8, batch_size=64, seed=3,
         output_dir=str(tmp_path / name),
     )
     base.update(over)
@@ -43,8 +47,37 @@ def test_pipeline_artifacts_and_gate(tmp_path):
                  "compression.json", "equivalence.json", "metrics.json"):
         assert os.path.exists(os.path.join(cfg.output_dir, name)), name
     m = result.metrics
+    assert m["target_met"] and m["zero_groups"] == m["target_zero_groups"] == 16
     assert m["equivalence"]["max_abs_diff"] < 1e-9
-    assert m["flops_compressed"] <= m["flops_full"]
+    assert m["flops_compressed"] < m["flops_full"]
+    with open(os.path.join(cfg.output_dir, "metrics.json"), encoding="utf-8") as fh:
+        written = json.load(fh)
+    assert (written["zero_groups"], written["target_met"]) == (16, True)
+
+
+def test_missed_target_fails_the_run(tmp_path):
+    # Projection from step 4 of 16 zeroes none of the 16 target groups.
+    cfg = small_cfg(tmp_path, "miss", target_zero_fraction=0.25,
+                    dataset={"kind": "synthetic-classification",
+                             "n_train": 512, "n_test": 128},
+                    optimizer=OptimizerConfig(learning_rate=0.1, lr_period_epochs=2,
+                                              default_penalty=0.5),
+                    epochs=4, batch_size=128)
+    result = run_pipeline(cfg)
+    m = result.metrics
+    assert m["equivalence"]["passed"]
+    assert m["zero_groups"] < m["target_zero_groups"] == 16
+    assert not m["target_met"] and not result.ok
+
+
+def test_divergence_raises_with_step(tmp_path):
+    # The first step sees the finite initial weights; the update it makes
+    # overflows, so the loss of step 1 is the first non-finite value.
+    cfg = small_cfg(tmp_path, "div", epochs=1,
+                    optimizer=OptimizerConfig(learning_rate=1e300))
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        run_pipeline(cfg)
+    assert info.value.step == 1
 
 
 def test_pipeline_k_zero_keeps_graph(tmp_path):
