@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .compression import build_channel_maps, detect_zero_groups, prune, verify_equivalence
+from .compression import compress, verify_equivalence
 from .datasets import GroupSparseProblem
 from .errors import ZigpruneError
 from .graph import export_dot, infer_shapes, load_graph, save_graph
@@ -68,8 +68,7 @@ def cmd_compress(args) -> int:
     cfg = _load_run_config(args.run_dir)
     g = infer_shapes(load_graph(os.path.join(args.run_dir, "graph_full.json")))
     part = partition(g)
-    mask = detect_zero_groups(g, part)
-    small = prune(g, part, mask, build_channel_maps(g, part, mask))
+    small, mask = compress(g, part)
     save_graph(small, os.path.join(args.run_dir, "graph_compressed.json"))
     equiv = verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
                                tol=cfg.equivalence_tol,

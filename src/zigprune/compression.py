@@ -9,7 +9,7 @@ reproduces the full graph's eval-mode outputs exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,18 +17,14 @@ import numpy as np
 from .errors import AllGroupsZeroInComponent, GraphError, ShapeMismatchAfterPrune
 from .graph import (
     ACCESSORY,
-    BatchNorm,
     ComputationGraph,
-    Conv2d,
     Flatten,
-    Linear,
     SD_JOINT,
     SID_JOINT,
     STEM,
     Vertex,
     count_flops_params,
     infer_shapes,
-    output_width,
 )
 from .partition import PartitionResult, group_is_zero
 from .engine import forward
@@ -53,26 +49,16 @@ def detect_zero_groups(g: ComputationGraph, part: PartitionResult) -> PruneMask:
     Raises AllGroupsZeroInComponent when a component would lose all groups;
     a zero-width operator cannot be constructed.
     """
-    flags = [group_is_zero(g, z) for z in part.zigs]
-    survivors: dict[int, list[int]] = {}
-    for z, flagged in zip(part.zigs, flags):
-        if not flagged:
-            survivors.setdefault(z.component_id, []).append(z.group_index)
-    for ci, width in enumerate(part.widths):
-        if width == 0:
-            continue
-        kept = sorted(survivors.get(ci, []))
-        if not kept:
-            raise AllGroupsZeroInComponent(
-                f"component {ci}: all {width} groups are zero"
-            )
-        survivors[ci] = kept
-    return PruneMask(zero_flags=flags, survivors=survivors)
+    return make_mask(part, [i for i, z in enumerate(part.zigs) if group_is_zero(g, z)])
 
 
 def make_mask(part: PartitionResult, zero_group_ids: list[int]) -> PruneMask:
-    """Mask from explicit positions into part.zigs (test/tooling entry)."""
-    flags = [i in set(zero_group_ids) for i in range(len(part.zigs))]
+    """Mask that removes the groups at the given positions into part.zigs.
+
+    Raises AllGroupsZeroInComponent when a component would lose all groups.
+    """
+    zero_ids = set(zero_group_ids)
+    flags = [i in zero_ids for i in range(len(part.zigs))]
     survivors: dict[int, list[int]] = {}
     for z, flagged in zip(part.zigs, flags):
         if not flagged:
@@ -81,7 +67,9 @@ def make_mask(part: PartitionResult, zero_group_ids: list[int]) -> PruneMask:
         if width:
             kept = sorted(survivors.get(ci, []))
             if not kept:
-                raise AllGroupsZeroInComponent(f"component {ci} emptied")
+                raise AllGroupsZeroInComponent(
+                    f"component {ci}: all {width} groups would be removed"
+                )
             survivors[ci] = kept
     return PruneMask(zero_flags=flags, survivors=survivors)
 
@@ -111,7 +99,7 @@ def build_channel_maps(g: ComputationGraph, part: PartitionResult,
             if ci is not None and part.widths[ci]:
                 out_map[vid] = list(mask.survivors[ci])
             else:
-                out_map[vid] = list(range(output_width(vx.kind)))
+                out_map[vid] = list(range(vx.kind.width()))
         elif vid in g.input_binding:
             out_map[vid] = list(range(vx.out_shape[1]))
         elif cat == ACCESSORY:
@@ -145,12 +133,6 @@ def build_channel_maps(g: ComputationGraph, part: PartitionResult,
 # surgery
 # ---------------------------------------------------------------------------
 
-def _conv_columns(in_map: list[int], kernel: int) -> np.ndarray:
-    kk = kernel * kernel
-    return np.concatenate([np.arange(c * kk, (c + 1) * kk) for c in in_map]) \
-        if in_map else np.empty(0, dtype=int)
-
-
 def prune(g: ComputationGraph, part: PartitionResult, mask: PruneMask,
           maps: dict[tuple[int, int], list[int]]) -> ComputationGraph:
     """Build the pruned graph: same topology, narrowed operators."""
@@ -159,47 +141,14 @@ def prune(g: ComputationGraph, part: PartitionResult, mask: PruneMask,
         for s in comp.stem_ids:
             stem_comp[s] = ci
 
-    def incoming_map(vid: int) -> Optional[list[int]]:
-        preds = g.preds[vid]
-        if not preds:
-            return None  # graph input: nothing pruned upstream
-        return maps[(preds[0], vid)]
-
     new_vertices: dict[int, Vertex] = {}
     for vid, vx in g.vertices.items():
-        kind = vx.kind
+        ci = stem_comp.get(vid)
+        keep_rows = mask.survivors[ci] if ci is not None and part.widths[ci] else None
+        # a graph input has nothing pruned upstream
+        in_map = maps[(g.preds[vid][0], vid)] if g.preds[vid] else None
         params = vx.params.copy() if vx.params is not None else None
-        if isinstance(kind, (Conv2d, Linear)):
-            ci = stem_comp.get(vid)
-            if ci is not None and part.widths[ci]:
-                keep_rows = mask.survivors[ci]
-            else:
-                keep_rows = list(range(output_width(kind)))
-            in_map = incoming_map(vid)
-            if isinstance(kind, Conv2d):
-                if in_map is None:
-                    in_map = list(range(kind.in_channels))
-                cols = _conv_columns(in_map, kind.kernel)
-                params.weight = params.weight[np.ix_(keep_rows, cols)]
-                kind = replace(kind, in_channels=len(in_map),
-                               out_channels=len(keep_rows))
-            else:
-                if in_map is None:
-                    in_map = list(range(kind.in_features))
-                params.weight = params.weight[np.ix_(keep_rows, in_map)]
-                kind = replace(kind, in_features=len(in_map),
-                               out_features=len(keep_rows))
-            if params.bias is not None:
-                params.bias = params.bias[keep_rows]
-        elif isinstance(kind, BatchNorm):
-            in_map = incoming_map(vid)
-            if in_map is not None and len(in_map) != kind.channels:
-                keep = np.asarray(in_map)
-                params.gamma = params.gamma[keep]
-                params.beta = params.beta[keep]
-                params.running_mean = params.running_mean[keep]
-                params.running_var = params.running_var[keep]
-                kind = replace(kind, channels=len(in_map))
+        kind, params = vx.kind.narrow(params, keep_rows, in_map)
         new_vertices[vid] = Vertex(id=vid, kind=kind, name=vx.name, params=params)
 
     pruned = ComputationGraph(

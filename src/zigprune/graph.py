@@ -4,7 +4,9 @@ A graph is a DAG of operator vertices. Vertices are categorized as stem
 (trainable, width-changing: Conv2d / Linear), accessory (single-in single-out:
 BatchNorm / ReLU / pooling / Flatten), joint (multi-input aggregators: Add and
 Mul require equal input shapes, Concat stacks along the channel axis), unknown
-(opaque custom op), or the terminal GraphOutput marker.
+(opaque custom op), or the terminal GraphOutput marker. Each op kind, with
+its shape, FLOPs, parameter, execution and surgery rules, is one class in
+``ops.py``; this module re-exports the kinds and holds the graph around them.
 
 Graph documents are plain dicts (JSON-compatible). Schema:
 
@@ -33,190 +35,29 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CycleDetected,
-    DanglingEdge,
-    FlattenWithoutKnownSpatialDims,
-    GraphError,
-    ShapeMismatchAtSDJoint,
-    UnknownKindString,
-)
+from .errors import CycleDetected, DanglingEdge, GraphError, UnknownKindString
+# The op kinds, their categories and ParameterSet are re-exported from here.
+from .ops import (ACCESSORY, KINDS, OUTPUT, SD_JOINT, SID_JOINT, STEM,  # noqa: F401
+                  TRAINABLE_ROLES, UNKNOWN, Add, AvgPool, BatchNorm, Concat, Conv2d,
+                  Flatten, GraphOutput, Linear, MaxPool, Mul, OpKind, ParameterSet,
+                  ReLU, Unknown)
 
-# Vertex categories.
-STEM = "stem"
-ACCESSORY = "accessory"
-SD_JOINT = "sd_joint"
-SID_JOINT = "sid_joint"
-UNKNOWN = "unknown"
-OUTPUT = "output"
+_KIND_BY_OP = {k.op: k for k in KINDS}
 
 
 # ---------------------------------------------------------------------------
-# Vertex kinds
+# Vertices and graphs
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Conv2d:
-    kernel: int
-    stride: int
-    padding: int
-    in_channels: int
-    out_channels: int
-    has_bias: bool = True
-
-    op = "conv2d"
-    category = STEM
-
-
-@dataclass(frozen=True)
-class Linear:
-    in_features: int
-    out_features: int
-    has_bias: bool = True
-
-    op = "linear"
-    category = STEM
-
-
-@dataclass(frozen=True)
-class BatchNorm:
-    channels: int
-
-    op = "batch_norm"
-    category = ACCESSORY
-
-
-@dataclass(frozen=True)
-class ReLU:
-    op = "relu"
-    category = ACCESSORY
-
-
-@dataclass(frozen=True)
-class MaxPool:
-    kernel: int
-    stride: int
-
-    op = "max_pool"
-    category = ACCESSORY
-
-
-@dataclass(frozen=True)
-class AvgPool:
-    kernel: int
-    stride: int
-
-    op = "avg_pool"
-    category = ACCESSORY
-
-
-@dataclass(frozen=True)
-class Flatten:
-    op = "flatten"
-    category = ACCESSORY
-
-
-@dataclass(frozen=True)
-class Add:
-    op = "add"
-    category = SD_JOINT
-
-
-@dataclass(frozen=True)
-class Mul:
-    op = "mul"
-    category = SD_JOINT
-
-
-@dataclass(frozen=True)
-class Concat:
-    # channel/feature axis only
-    op = "concat"
-    category = SID_JOINT
-
-
-@dataclass(frozen=True)
-class Unknown:
-    opname: str
-
-    op = "unknown"
-    category = UNKNOWN
-
-
-@dataclass(frozen=True)
-class GraphOutput:
-    op = "output"
-    category = OUTPUT
-
-
-_KIND_BY_OP = {
-    k.op: k
-    for k in (Conv2d, Linear, BatchNorm, ReLU, MaxPool, AvgPool, Flatten,
-              Add, Mul, Concat, Unknown, GraphOutput)
-}
-
-VertexKind = (Conv2d | Linear | BatchNorm | ReLU | MaxPool | AvgPool | Flatten
-              | Add | Mul | Concat | Unknown | GraphOutput)
-
-
-def output_width(kind: VertexKind) -> Optional[int]:
-    """Channel/feature width produced by a stem, None for other kinds."""
-    if isinstance(kind, Conv2d):
-        return kind.out_channels
-    if isinstance(kind, Linear):
-        return kind.out_features
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Parameters and vertices
-# ---------------------------------------------------------------------------
-
-TRAINABLE_ROLES = ("weight", "bias", "gamma", "beta")
-
-
-@dataclass
-class ParameterSet:
-    """Trainable tensors of one vertex.
-
-    ``weight`` is 2-D with one row per output channel/feature; for Conv2d row j
-    is the flattened jth 3-D filter laid out channel-major, so the k*k columns
-    of input channel c occupy columns [c*k*k, (c+1)*k*k).
-    """
-
-    weight: Optional[np.ndarray] = None
-    bias: Optional[np.ndarray] = None
-    gamma: Optional[np.ndarray] = None
-    beta: Optional[np.ndarray] = None
-    running_mean: Optional[np.ndarray] = None
-    running_var: Optional[np.ndarray] = None
-
-    def trainable_items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for role in TRAINABLE_ROLES:
-            arr = getattr(self, role)
-            if arr is not None:
-                yield role, arr
-
-    def trainable_count(self) -> int:
-        return sum(arr.size for _, arr in self.trainable_items())
-
-    def copy(self) -> "ParameterSet":
-        kw = {}
-        for f in fields(self):
-            arr = getattr(self, f.name)
-            kw[f.name] = None if arr is None else arr.copy()
-        return ParameterSet(**kw)
-
 
 @dataclass
 class Vertex:
     id: int
-    kind: VertexKind
+    kind: OpKind
     name: str = ""
     params: Optional[ParameterSet] = None
     out_shape: Optional[tuple[int, ...]] = None
@@ -241,6 +82,7 @@ class ComputationGraph:
     preds: dict[int, list[int]] = field(default_factory=dict, repr=False)
     succs: dict[int, list[int]] = field(default_factory=dict, repr=False)
     topo_order: list[int] = field(default_factory=list, repr=False)
+    topo_index: dict[int, int] = field(default_factory=dict, repr=False)
     input_ids: list[int] = field(default_factory=list, repr=False)
     output_id: Optional[int] = field(default=None, repr=False)
 
@@ -256,14 +98,15 @@ class ComputationGraph:
             self.preds[dst].append(src)
             self.succs[src].append(dst)
         self.topo_order = self._toposort()
+        self.topo_index = {v: i for i, v in enumerate(self.topo_order)}
         self.input_ids = sorted(
             v for v in self.vertices
-            if not self.preds[v] and not isinstance(self.vertices[v].kind, GraphOutput)
+            if not self.preds[v] and self.vertices[v].category != OUTPUT
         )
         for v in self.input_ids:
             self.input_binding.setdefault(v, 0)
         self.output_id = next((v for v, vx in self.vertices.items()
-                               if isinstance(vx.kind, GraphOutput)), None)
+                               if vx.category == OUTPUT), None)
 
     def _toposort(self) -> list[int]:
         indeg = {v: len(self.preds[v]) for v in self.vertices}
@@ -281,10 +124,6 @@ class ComputationGraph:
             raise CycleDetected("graph contains a cycle")
         return order
 
-    @property
-    def topo_index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.topo_order)}
-
     def joint_input_order(self, vid: int) -> list[int]:
         """Incoming vertices in edge-list appearance order (``preds`` keeps it)."""
         return self.preds[vid]
@@ -299,56 +138,26 @@ class ComputationGraph:
 # Construction
 # ---------------------------------------------------------------------------
 
-_KIND_ATTRS = {
-    "conv2d": ("kernel", "stride", "padding", "in_channels", "out_channels", "has_bias"),
-    "linear": ("in_features", "out_features", "has_bias"),
-    "batch_norm": ("channels",),
-    "max_pool": ("kernel", "stride"),
-    "avg_pool": ("kernel", "stride"),
-    "unknown": ("opname",),
-}
-
-
-def _kind_from_doc(vdoc: dict) -> VertexKind:
+def _kind_from_doc(vdoc: dict) -> OpKind:
+    """A kind's document attributes are its dataclass fields; one with a
+    default is optional and coerced to the default's type."""
     op = vdoc.get("op")
     cls = _KIND_BY_OP.get(op)
     if cls is None:
         raise UnknownKindString(f"unrecognized op string {op!r}")
-    attrs = _KIND_ATTRS.get(op, ())
     kw = {}
-    for a in attrs:
-        if a == "has_bias":
-            kw[a] = bool(vdoc.get(a, True))
+    for f in fields(cls):
+        if f.default is not MISSING:
+            kw[f.name] = type(f.default)(vdoc.get(f.name, f.default))
+        elif f.name not in vdoc:
+            raise GraphError(f"op {op!r} requires attribute {f.name!r}")
         else:
-            if a not in vdoc:
-                raise GraphError(f"op {op!r} requires attribute {a!r}")
-            kw[a] = vdoc[a]
+            kw[f.name] = vdoc[f.name]
     return cls(**kw)
 
 
-def _default_params(kind: VertexKind) -> Optional[ParameterSet]:
-    if isinstance(kind, Conv2d):
-        cols = kind.kernel * kind.kernel * kind.in_channels
-        return ParameterSet(
-            weight=np.zeros((kind.out_channels, cols)),
-            bias=np.zeros(kind.out_channels) if kind.has_bias else None,
-        )
-    if isinstance(kind, Linear):
-        return ParameterSet(
-            weight=np.zeros((kind.out_features, kind.in_features)),
-            bias=np.zeros(kind.out_features) if kind.has_bias else None,
-        )
-    if isinstance(kind, BatchNorm):
-        c = kind.channels
-        return ParameterSet(
-            gamma=np.ones(c), beta=np.zeros(c),
-            running_mean=np.zeros(c), running_var=np.ones(c),
-        )
-    return None
-
-
-def _params_from_doc(kind: VertexKind, pdoc: Optional[dict]) -> Optional[ParameterSet]:
-    base = _default_params(kind)
+def _params_from_doc(kind: OpKind, pdoc: Optional[dict]) -> Optional[ParameterSet]:
+    base = kind.default_params()
     if base is None:
         if pdoc:
             raise GraphError(f"op {kind.op!r} does not carry parameters")
@@ -406,7 +215,7 @@ def _check_shape(shape: tuple[int, ...]) -> None:
 
 
 def _validate_arity(g: ComputationGraph) -> None:
-    n_out = sum(isinstance(v.kind, GraphOutput) for v in g.vertices.values())
+    n_out = sum(v.category == OUTPUT for v in g.vertices.values())
     if n_out > 1:
         raise GraphError("at most one output vertex is supported")
     for vid, idx in g.input_binding.items():
@@ -436,80 +245,6 @@ def _validate_arity(g: ComputationGraph) -> None:
 # Shape inference
 # ---------------------------------------------------------------------------
 
-def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
-    out = (size + 2 * padding - kernel) // stride + 1
-    if out < 1:
-        raise GraphError(f"spatial size {size} too small for kernel {kernel}")
-    return out
-
-
-def _infer_vertex_shape(vx: Vertex, in_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
-    kind = vx.kind
-    if isinstance(kind, Conv2d):
-        (n, c, h, w), = in_shapes
-        if c != kind.in_channels:
-            raise GraphError(
-                f"vertex {vx.id}: conv expects {kind.in_channels} channels, got {c}"
-            )
-        return (n, kind.out_channels,
-                _conv_out(h, kind.kernel, kind.stride, kind.padding),
-                _conv_out(w, kind.kernel, kind.stride, kind.padding))
-    if isinstance(kind, Linear):
-        (n, f), = in_shapes
-        if f != kind.in_features:
-            raise GraphError(
-                f"vertex {vx.id}: linear expects {kind.in_features} features, got {f}"
-            )
-        return (n, kind.out_features)
-    if isinstance(kind, BatchNorm):
-        shape, = in_shapes
-        if shape[1] != kind.channels:
-            raise GraphError(
-                f"vertex {vx.id}: batch_norm expects {kind.channels} channels, got {shape[1]}"
-            )
-        return shape
-    if isinstance(kind, ReLU):
-        return in_shapes[0]
-    if isinstance(kind, (MaxPool, AvgPool)):
-        (n, c, h, w), = in_shapes
-        ho = (h - kind.kernel) // kind.stride + 1
-        wo = (w - kind.kernel) // kind.stride + 1
-        if ho < 1 or wo < 1:
-            raise GraphError(f"vertex {vx.id}: pool kernel larger than input")
-        return (n, c, ho, wo)
-    if isinstance(kind, Flatten):
-        shape, = in_shapes
-        if len(shape) != 4:
-            raise FlattenWithoutKnownSpatialDims(
-                f"vertex {vx.id}: flatten needs a rank-4 input, got {shape}"
-            )
-        n, c, h, w = shape
-        return (n, c * h * w)
-    if isinstance(kind, (Add, Mul)):
-        first = in_shapes[0]
-        for s in in_shapes[1:]:
-            if s != first:
-                raise ShapeMismatchAtSDJoint(
-                    f"vertex {vx.id}: {kind.op} inputs {first} vs {s}"
-                )
-        return first
-    if isinstance(kind, Concat):
-        first = in_shapes[0]
-        for s in in_shapes[1:]:
-            if len(s) != len(first) or s[0] != first[0] or s[2:] != first[2:]:
-                raise GraphError(
-                    f"vertex {vx.id}: concat inputs differ outside the channel axis"
-                )
-        channels = sum(s[1] for s in in_shapes)
-        return (first[0], channels, *first[2:])
-    if isinstance(kind, Unknown):
-        # opaque op: assume shape-preserving single input
-        return in_shapes[0]
-    if isinstance(kind, GraphOutput):
-        return in_shapes[0]
-    raise GraphError(f"cannot infer shape for op {kind.op!r}")
-
-
 def infer_shapes(g: ComputationGraph) -> ComputationGraph:
     """Fill every vertex's out_shape; idempotent.
 
@@ -529,7 +264,7 @@ def infer_shapes(g: ComputationGraph) -> ComputationGraph:
             in_shapes = [g.vertices[p].out_shape for p in g.preds[vid]]
             if any(s is None for s in in_shapes):
                 raise GraphError(f"vertex {vid} has an unshaped predecessor")
-        vx.out_shape = _infer_vertex_shape(vx, in_shapes)
+        vx.out_shape = vx.kind.infer_shape(in_shapes, vid)
     return g
 
 
@@ -549,27 +284,9 @@ def count_flops_params(g: ComputationGraph) -> tuple[int, int]:
     params = 0
     for vid in g.topo_order:
         vx = g.vertices[vid]
-        kind = vx.kind
         if vx.out_shape is None:
             raise GraphError("count_flops_params requires inferred shapes")
-        numel = int(np.prod(vx.out_shape[1:]))
-        if isinstance(kind, Conv2d):
-            _, _, ho, wo = vx.out_shape
-            flops += 2 * kind.kernel ** 2 * kind.in_channels * kind.out_channels * ho * wo
-            if kind.has_bias:
-                flops += numel
-        elif isinstance(kind, Linear):
-            flops += 2 * kind.in_features * kind.out_features
-            if kind.has_bias:
-                flops += kind.out_features
-        elif isinstance(kind, BatchNorm):
-            flops += 2 * numel
-        elif isinstance(kind, ReLU):
-            flops += numel
-        elif isinstance(kind, (MaxPool, AvgPool)):
-            flops += kind.kernel ** 2 * numel
-        elif isinstance(kind, (Add, Mul)):
-            flops += (len(g.preds[vid]) - 1) * numel
+        flops += vx.kind.flops(vx.out_shape, len(g.preds[vid]))
         if vx.params is not None:
             params += vx.params.trainable_count()
     return flops, params
@@ -588,8 +305,8 @@ def graph_to_doc(g: ComputationGraph, include_params: bool = True) -> dict:
             vdoc["name"] = vx.name
         if g.input_binding.get(vid, 0) != 0:
             vdoc["input"] = g.input_binding[vid]
-        for a in _KIND_ATTRS.get(vx.kind.op, ()):
-            vdoc[a] = getattr(vx.kind, a)
+        for f in fields(vx.kind):
+            vdoc[f.name] = getattr(vx.kind, f.name)
         if include_params and vx.params is not None:
             pdoc = {}
             for f in fields(vx.params):
@@ -671,26 +388,15 @@ _DOT_PALETTE = (
 )
 
 
-def _dot_label(vx: Vertex) -> str:
-    kind = vx.kind
-    bits = [vx.name or f"v{vx.id}", kind.op]
-    if isinstance(kind, Conv2d):
-        bits.append(f"{kind.in_channels}->{kind.out_channels} k{kind.kernel}")
-    elif isinstance(kind, Linear):
-        bits.append(f"{kind.in_features}->{kind.out_features}")
-    elif isinstance(kind, BatchNorm):
-        bits.append(f"C={kind.channels}")
-    elif isinstance(kind, Unknown):
-        bits.append(kind.opname)
-    return "\\n".join(bits)
-
-
 def export_dot(g: ComputationGraph, coloring: Optional[dict[int, int]] = None) -> str:
     """Render the graph as DOT; vertices sharing a coloring label share a fillcolor."""
     lines = ["digraph G {", "  node [shape=box, style=filled, fillcolor=white];"]
     coloring = coloring or {}
     for vid in sorted(g.vertices):
-        attrs = [f'label="{_dot_label(g.vertices[vid])}"']
+        vx = g.vertices[vid]
+        bits = [vx.name or f"v{vid}", vx.kind.op, vx.kind.label()]
+        label = "\\n".join(b for b in bits if b)
+        attrs = [f'label="{label}"']
         if vid in coloring:
             color = _DOT_PALETTE[coloring[vid] % len(_DOT_PALETTE)]
             attrs.append(f'fillcolor="{color}"')

@@ -23,13 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .builders import BUILDERS, conv_chain
-from .compression import (
-    build_channel_maps,
-    detect_zero_groups,
-    group_flops_savings,
-    prune,
-    verify_equivalence,
-)
+from .compression import compress, group_flops_savings, verify_equivalence
 from .datasets import (
     ClassificationData,
     GroupSparseProblem,
@@ -272,9 +266,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     save_graph(g, os.path.join(cfg.output_dir, "graph_full.json"))
 
     flops_full, params_full = count_flops_params(g)
-    mask = detect_zero_groups(g, part)
-    maps = build_channel_maps(g, part, mask)
-    small = prune(g, part, mask, maps)
+    small, mask = compress(g, part)
     save_graph(small, os.path.join(cfg.output_dir, "graph_compressed.json"))
     flops_small, params_small = count_flops_params(small)
     removed = {

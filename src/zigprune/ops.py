@@ -1,0 +1,609 @@
+"""Op kinds of the graph IR: one frozen dataclass per op.
+
+A kind's fields are its document attributes (a field with a default is
+optional). Its methods, documented on ``OpKind``, are all the rest of the
+system knows about the op: shape, FLOPs, parameters, execution and surgery.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, Optional
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .errors import FlattenWithoutKnownSpatialDims, GraphError, ShapeMismatchAtSDJoint
+
+# Vertex categories.
+STEM = "stem"
+ACCESSORY = "accessory"
+SD_JOINT = "sd_joint"
+SID_JOINT = "sid_joint"
+UNKNOWN = "unknown"
+OUTPUT = "output"
+
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+TRAINABLE_ROLES = ("weight", "bias", "gamma", "beta")
+
+
+@dataclass
+class ParameterSet:
+    """Trainable tensors of one vertex.
+
+    ``weight`` is 2-D with one row per output channel/feature; for Conv2d row j
+    is the flattened jth 3-D filter laid out channel-major, so the k*k columns
+    of input channel c occupy columns [c*k*k, (c+1)*k*k).
+    """
+
+    weight: Optional[np.ndarray] = None
+    bias: Optional[np.ndarray] = None
+    gamma: Optional[np.ndarray] = None
+    beta: Optional[np.ndarray] = None
+    running_mean: Optional[np.ndarray] = None
+    running_var: Optional[np.ndarray] = None
+
+    def trainable_items(self) -> Iterator[tuple[str, np.ndarray]]:
+        for role in TRAINABLE_ROLES:
+            arr = getattr(self, role)
+            if arr is not None:
+                yield role, arr
+
+    def trainable_count(self) -> int:
+        return sum(arr.size for _, arr in self.trainable_items())
+
+    def copy(self) -> "ParameterSet":
+        kw = {}
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            kw[f.name] = None if arr is None else arr.copy()
+        return ParameterSet(**kw)
+
+
+# ---------------------------------------------------------------------------
+# convolution and pooling plumbing
+# ---------------------------------------------------------------------------
+
+def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
+    out = (size + 2 * padding - kernel) // stride + 1
+    if out < 1:
+        raise GraphError(f"spatial size {size} too small for kernel {kernel}")
+    return out
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+    """Patches as one (N*Ho*Wo, C*k*k) matrix so the conv is a single GEMM."""
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    return cols.reshape(n * ho * wo, c * k * k), ho, wo
+
+
+def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, ho: int, wo: int):
+    """Scatter-add (N*Ho*Wo, C*k*k) patch gradients back onto the input."""
+    n, c, h, w = x_shape
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    d = np.ascontiguousarray(
+        dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += d[:, :, i, j]
+    if pad:
+        return dxp[:, :, pad:pad + h, pad:pad + w]
+    return dxp
+
+
+def _conv_columns(in_map: list[int], kernel: int) -> np.ndarray:
+    kk = kernel * kernel
+    return np.concatenate([np.arange(c * kk, (c + 1) * kk) for c in in_map]) \
+        if in_map else np.empty(0, dtype=int)
+
+
+def _pool_windows(x: np.ndarray, k: int, stride: int):
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win  # (n, c, ho, wo, k, k)
+
+
+def _pool_scatter(dwin: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int):
+    """Scatter-add per-window gradients (n, c, ho, wo, k, k) onto the input."""
+    dx = np.zeros(x_shape)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dwin[:, :, :, :, i, j]
+    return dx
+
+
+def _tiles(kind, x_shape) -> bool:
+    """True when the pooling windows tile the input exactly (no overlap, no rest)."""
+    k = kind.kernel
+    return kind.stride == k and x_shape[2] % k == 0 and x_shape[3] % k == 0
+
+
+def _bn_view(x: np.ndarray) -> np.ndarray:
+    """(N, C) or (N, C, H, W) as (N, C, S): BatchNorm reduces over axes 0 and 2."""
+    return x.reshape(x.shape[0], x.shape[1], -1)
+
+
+def _numel(out_shape) -> int:
+    return int(np.prod(out_shape[1:]))
+
+
+# ---------------------------------------------------------------------------
+# op kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OpKind:
+    """Defaults: a single-input, shape-preserving, free accessory without
+    parameters that passes its input and gradient through unchanged.
+    Subclasses set ``op`` and, unless they are accessories, ``category``."""
+
+    op = ""
+    category = ACCESSORY
+
+    def infer_shape(self, in_shapes: list[tuple[int, ...]], vid: int) -> tuple[int, ...]:
+        return in_shapes[0]
+
+    def flops(self, out_shape: tuple[int, ...], n_inputs: int) -> int:
+        return 0
+
+    def default_params(self) -> Optional[ParameterSet]:
+        return None
+
+    def width(self) -> Optional[int]:
+        """Output channels or features of a stem; None for other kinds."""
+        return None
+
+    def label(self) -> str:
+        return ""
+
+    def forward(self, params, xs: list[np.ndarray], mode: str, src=None, cols_memo=None):
+        """Returns (output, cache for ``backward``). ``src`` names the tensor a
+        single-input vertex reads; convolutions that read one ``src`` with one
+        geometry share an im2col result in ``cols_memo``."""
+        return xs[0], {}
+
+    def backward(self, params, cache, dout: np.ndarray, grads: dict, need_dx: bool = True):
+        """Accumulates parameter gradients into ``grads`` and returns the
+        gradients w.r.t. the inputs, in input order. With ``need_dx`` False (a
+        vertex that reads the graph input) kinds with parameters may return
+        None instead."""
+        return [dout]
+
+    def narrow(self, params, keep_rows: Optional[list[int]], in_map: Optional[list[int]]):
+        """(kind, params) keeping output rows ``keep_rows`` (None: all) and the
+        input channels ``in_map`` (None: all); ``params`` is a private copy."""
+        return self, params
+
+
+@dataclass(frozen=True)
+class Conv2d(OpKind):
+    kernel: int
+    stride: int
+    padding: int
+    in_channels: int
+    out_channels: int
+    has_bias: bool = True
+
+    op = "conv2d"
+    category = STEM
+
+    def infer_shape(self, in_shapes, vid):
+        (n, c, h, w), = in_shapes
+        if c != self.in_channels:
+            raise GraphError(
+                f"vertex {vid}: conv expects {self.in_channels} channels, got {c}"
+            )
+        return (n, self.out_channels,
+                _conv_out(h, self.kernel, self.stride, self.padding),
+                _conv_out(w, self.kernel, self.stride, self.padding))
+
+    def flops(self, out_shape, n_inputs):
+        _, _, ho, wo = out_shape
+        flops = 2 * self.kernel ** 2 * self.in_channels * self.out_channels * ho * wo
+        return flops + _numel(out_shape) if self.has_bias else flops
+
+    def default_params(self):
+        cols = self.kernel * self.kernel * self.in_channels
+        return ParameterSet(
+            weight=np.zeros((self.out_channels, cols)),
+            bias=np.zeros(self.out_channels) if self.has_bias else None,
+        )
+
+    def width(self):
+        return self.out_channels
+
+    def label(self):
+        return f"{self.in_channels}->{self.out_channels} k{self.kernel}"
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        x, = xs
+        key = (src, self.kernel, self.stride, self.padding)
+        memo = {} if cols_memo is None else cols_memo
+        if key not in memo:
+            memo[key] = _im2col(x, self.kernel, self.stride, self.padding)
+        cols, ho, wo = memo[key]
+        out = cols @ params.weight.T
+        if params.bias is not None:
+            out += params.bias
+        out = np.ascontiguousarray(
+            out.reshape(x.shape[0], ho, wo, self.out_channels).transpose(0, 3, 1, 2))
+        return out, {"cols": cols, "x_shape": x.shape, "ho": ho, "wo": wo}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        dflat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(
+            -1, self.out_channels)
+        grads["weight"] += dflat.T @ cache["cols"]
+        if params.bias is not None:
+            grads["bias"] += dflat.sum(axis=0)
+        if not need_dx:
+            return None
+        dcols = dflat @ params.weight
+        dx = _col2im(dcols, cache["x_shape"], self.kernel, self.stride,
+                     self.padding, cache["ho"], cache["wo"])
+        return [dx]
+
+    def narrow(self, params, keep_rows, in_map):
+        if keep_rows is None:
+            keep_rows = list(range(self.out_channels))
+        if in_map is None:
+            in_map = list(range(self.in_channels))
+        cols = _conv_columns(in_map, self.kernel)
+        params.weight = params.weight[np.ix_(keep_rows, cols)]
+        if params.bias is not None:
+            params.bias = params.bias[keep_rows]
+        return replace(self, in_channels=len(in_map), out_channels=len(keep_rows)), params
+
+
+@dataclass(frozen=True)
+class Linear(OpKind):
+    in_features: int
+    out_features: int
+    has_bias: bool = True
+
+    op = "linear"
+    category = STEM
+
+    def infer_shape(self, in_shapes, vid):
+        (n, f), = in_shapes
+        if f != self.in_features:
+            raise GraphError(
+                f"vertex {vid}: linear expects {self.in_features} features, got {f}"
+            )
+        return (n, self.out_features)
+
+    def flops(self, out_shape, n_inputs):
+        flops = 2 * self.in_features * self.out_features
+        return flops + self.out_features if self.has_bias else flops
+
+    def default_params(self):
+        return ParameterSet(
+            weight=np.zeros((self.out_features, self.in_features)),
+            bias=np.zeros(self.out_features) if self.has_bias else None,
+        )
+
+    def width(self):
+        return self.out_features
+
+    def label(self):
+        return f"{self.in_features}->{self.out_features}"
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        x, = xs
+        out = x @ params.weight.T
+        if params.bias is not None:
+            out = out + params.bias
+        return out, {"x": x}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        grads["weight"] += dout.T @ cache["x"]
+        if params.bias is not None:
+            grads["bias"] += dout.sum(axis=0)
+        if not need_dx:
+            return None
+        return [dout @ params.weight]
+
+    def narrow(self, params, keep_rows, in_map):
+        if keep_rows is None:
+            keep_rows = list(range(self.out_features))
+        if in_map is None:
+            in_map = list(range(self.in_features))
+        params.weight = params.weight[np.ix_(keep_rows, in_map)]
+        if params.bias is not None:
+            params.bias = params.bias[keep_rows]
+        return replace(self, in_features=len(in_map), out_features=len(keep_rows)), params
+
+
+@dataclass(frozen=True)
+class BatchNorm(OpKind):
+    channels: int
+
+    op = "batch_norm"
+
+    def infer_shape(self, in_shapes, vid):
+        shape, = in_shapes
+        if shape[1] != self.channels:
+            raise GraphError(
+                f"vertex {vid}: batch_norm expects {self.channels} channels, got {shape[1]}"
+            )
+        return shape
+
+    def flops(self, out_shape, n_inputs):
+        return 2 * _numel(out_shape)
+
+    def default_params(self):
+        c = self.channels
+        return ParameterSet(
+            gamma=np.ones(c), beta=np.zeros(c),
+            running_mean=np.zeros(c), running_var=np.ones(c),
+        )
+
+    def label(self):
+        return f"C={self.channels}"
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        x, = xs
+        x3 = _bn_view(x)
+        if mode == "train":
+            m = x3.shape[0] * x3.shape[2]
+            mean = np.einsum("ncs->c", x3) / m
+            var = np.einsum("ncs,ncs->c", x3, x3) / m - mean * mean
+            np.maximum(var, 0.0, out=var)
+            params.running_mean *= 1.0 - BN_MOMENTUM
+            params.running_mean += BN_MOMENTUM * mean
+            params.running_var *= 1.0 - BN_MOMENTUM
+            params.running_var += BN_MOMENTUM * var
+        else:
+            mean, var = params.running_mean.copy(), params.running_var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        scale = params.gamma * inv_std
+        out = x3 - mean[:, None]
+        out *= scale[:, None]
+        out += params.beta[:, None]
+        return out.reshape(x.shape), {"x": x3, "mean": mean, "inv_std": inv_std,
+                                      "mode": mode}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        # With xhat = (x - mean) * inv_std and a = gamma * inv_std:
+        # sum(d * xhat) = (sum(d * x) - mean * sum(d)) * inv_std, and in train
+        # mode dx = a * (d - sum(d) / m - xhat * sum(d * xhat) / m), which is
+        # a * d + c2 * x + c3 with per-channel c2 and c3.
+        x3, mean, inv_std = cache["x"], cache["mean"], cache["inv_std"]
+        d3 = _bn_view(dout)
+        sum_d = np.einsum("ncs->c", d3)
+        sum_dxhat = (np.einsum("ncs,ncs->c", d3, x3) - mean * sum_d) * inv_std
+        grads["gamma"] += sum_dxhat
+        grads["beta"] += sum_d
+        if not need_dx:
+            return None
+        scale = params.gamma * inv_std
+        dx = d3 * scale[:, None]
+        if cache["mode"] == "train":
+            m = d3.shape[0] * d3.shape[2]
+            c2 = -(scale / m) * sum_dxhat * inv_std
+            c3 = -(scale / m) * sum_d - c2 * mean
+            dx += c2[:, None] * x3
+            dx += c3[:, None]
+        return [dx.reshape(dout.shape)]
+
+    def narrow(self, params, keep_rows, in_map):
+        if in_map is None or len(in_map) == self.channels:
+            return self, params
+        keep = np.asarray(in_map)
+        for role in ("gamma", "beta", "running_mean", "running_var"):
+            setattr(params, role, getattr(params, role)[keep])
+        return replace(self, channels=len(in_map)), params
+
+
+@dataclass(frozen=True)
+class ReLU(OpKind):
+    op = "relu"
+
+    def flops(self, out_shape, n_inputs):
+        return _numel(out_shape)
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        x, = xs
+        mask = x > 0
+        return x * mask, {"mask": mask}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        return [dout * cache["mask"]]
+
+
+@dataclass(frozen=True)
+class _Pool(OpKind):
+    kernel: int
+    stride: int
+
+    def infer_shape(self, in_shapes, vid):
+        (n, c, h, w), = in_shapes
+        ho = (h - self.kernel) // self.stride + 1
+        wo = (w - self.kernel) // self.stride + 1
+        if ho < 1 or wo < 1:
+            raise GraphError(f"vertex {vid}: pool kernel larger than input")
+        return (n, c, ho, wo)
+
+    def flops(self, out_shape, n_inputs):
+        return self.kernel ** 2 * _numel(out_shape)
+
+
+@dataclass(frozen=True)
+class MaxPool(_Pool):
+    op = "max_pool"
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        x, = xs
+        win = _pool_windows(x, self.kernel, self.stride)
+        n, c, ho, wo = win.shape[:4]
+        flat = win.reshape(n, c, ho, wo, -1)
+        arg = flat.argmax(axis=-1)
+        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        return out, {"arg": arg, "x_shape": x.shape, "ho": ho, "wo": wo}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        n, c, ho, wo = dout.shape
+        kk = self.kernel * self.kernel
+        onehot = np.zeros((n, c, ho, wo, kk))
+        np.put_along_axis(onehot, cache["arg"][..., None], 1.0, axis=-1)
+        dwin = (onehot * dout[..., None]).reshape(n, c, ho, wo, self.kernel, self.kernel)
+        return [_pool_scatter(dwin, cache["x_shape"], self.kernel, self.stride, ho, wo)]
+
+
+@dataclass(frozen=True)
+class AvgPool(_Pool):
+    op = "avg_pool"
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        x, = xs
+        k = self.kernel
+        if _tiles(self, x.shape):
+            out = x[:, :, ::k, ::k].copy()
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        out += x[:, :, i::k, j::k]
+            out /= k * k
+        else:
+            out = _pool_windows(x, k, self.stride).mean(axis=(-2, -1))
+        return out, {"x_shape": x.shape, "ho": out.shape[2], "wo": out.shape[3]}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        n, c, ho, wo = dout.shape
+        k = self.kernel
+        if _tiles(self, cache["x_shape"]):
+            return [np.repeat(np.repeat(dout / (k * k), k, axis=2), k, axis=3)]
+        dwin = np.broadcast_to((dout / (k * k))[..., None, None], (n, c, ho, wo, k, k))
+        return [_pool_scatter(dwin, cache["x_shape"], self.kernel, self.stride, ho, wo)]
+
+
+@dataclass(frozen=True)
+class Flatten(OpKind):
+    op = "flatten"
+
+    def infer_shape(self, in_shapes, vid):
+        shape, = in_shapes
+        if len(shape) != 4:
+            raise FlattenWithoutKnownSpatialDims(
+                f"vertex {vid}: flatten needs a rank-4 input, got {shape}"
+            )
+        n, c, h, w = shape
+        return (n, c * h * w)
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        x, = xs
+        return x.reshape(x.shape[0], -1), {"x_shape": x.shape}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        return [dout.reshape(cache["x_shape"])]
+
+
+@dataclass(frozen=True)
+class _Elementwise(OpKind):
+    """Add and Mul: equal input shapes, (n_inputs - 1) FLOPs per element."""
+
+    category = SD_JOINT
+
+    def infer_shape(self, in_shapes, vid):
+        first = in_shapes[0]
+        for s in in_shapes[1:]:
+            if s != first:
+                raise ShapeMismatchAtSDJoint(
+                    f"vertex {vid}: {self.op} inputs {first} vs {s}"
+                )
+        return first
+
+    def flops(self, out_shape, n_inputs):
+        return (n_inputs - 1) * _numel(out_shape)
+
+
+@dataclass(frozen=True)
+class Add(_Elementwise):
+    op = "add"
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        out = xs[0].copy()
+        for x in xs[1:]:
+            out += x
+        return out, {"n": len(xs)}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        return [dout] * cache["n"]
+
+
+@dataclass(frozen=True)
+class Mul(_Elementwise):
+    op = "mul"
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        out = xs[0].copy()
+        for x in xs[1:]:
+            out *= x
+        return out, {"xs": xs}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        xs = cache["xs"]
+        dins = []
+        for i in range(len(xs)):
+            d = dout.copy()
+            for j, x in enumerate(xs):
+                if j != i:
+                    d *= x
+            dins.append(d)
+        return dins
+
+
+@dataclass(frozen=True)
+class Concat(OpKind):
+    # channel/feature axis only
+    op = "concat"
+    category = SID_JOINT
+
+    def infer_shape(self, in_shapes, vid):
+        first = in_shapes[0]
+        for s in in_shapes[1:]:
+            if len(s) != len(first) or s[0] != first[0] or s[2:] != first[2:]:
+                raise GraphError(
+                    f"vertex {vid}: concat inputs differ outside the channel axis"
+                )
+        channels = sum(s[1] for s in in_shapes)
+        return (first[0], channels, *first[2:])
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        widths = [x.shape[1] for x in xs]
+        return np.concatenate(xs, axis=1), {"widths": widths}
+
+    def backward(self, params, cache, dout, grads, need_dx=True):
+        splits = np.cumsum(cache["widths"])[:-1]
+        return list(np.split(dout, splits, axis=1))
+
+
+@dataclass(frozen=True)
+class Unknown(OpKind):
+    """Opaque custom op: assumed shape-preserving, never executed."""
+
+    opname: str
+
+    op = "unknown"
+    category = UNKNOWN
+
+    def label(self):
+        return self.opname
+
+    def forward(self, params, xs, mode, src=None, cols_memo=None):
+        raise GraphError(f"cannot execute unknown op {self.opname!r}")
+
+
+@dataclass(frozen=True)
+class GraphOutput(OpKind):
+    op = "output"
+    category = OUTPUT
+
+
+KINDS = (Conv2d, Linear, BatchNorm, ReLU, MaxPool, AvgPool, Flatten,
+         Add, Mul, Concat, Unknown, GraphOutput)

@@ -8,8 +8,9 @@ channel-wise inside each component. A group couples one output channel of
 every stem in the component with the matching per-channel accessory scalars,
 including split slices of accessories that sit downstream of a channel concat.
 
-Components adjacent to the graph output keep the output interface fixed and
-are excluded; so are components containing unknown vertices.
+Components whose channels reach the graph output, directly or through a
+channel concat, keep the output interface fixed and are excluded; so are
+components containing unknown vertices.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from .graph import (
     BatchNorm,
     ComputationGraph,
     Flatten,
-    GraphOutput,
+    OUTPUT,
     SD_JOINT,
     SID_JOINT,
     STEM,
     UNKNOWN,
-    Unknown,
-    output_width,
 )
 
 ROLE_ORDER = {"weight_row": 0, "bias": 1, "gamma": 2, "beta": 3}
@@ -177,8 +176,7 @@ def seed_components(g: ComputationGraph) -> list[DependencyComponent]:
         seen |= members
         comps.append(DependencyComponent(
             vertex_ids=members,
-            contains_unknown=any(isinstance(g.vertices[v].kind, Unknown)
-                                 for v in members),
+            contains_unknown=any(g.vertices[v].category == UNKNOWN for v in members),
         ))
     return comps
 
@@ -216,7 +214,7 @@ def _refresh(g: ComputationGraph, comp: DependencyComponent, topo_index) -> None
         (v for v in comp.vertex_ids if g.vertices[v].category == ACCESSORY),
         key=topo_index.__getitem__)
     comp.adjacent_to_output = any(
-        isinstance(g.vertices[s].kind, GraphOutput)
+        g.vertices[s].category == OUTPUT
         for v in comp.vertex_ids for s in g.succs[v])
 
 
@@ -270,7 +268,7 @@ def _channel_origins(g: ComputationGraph,
         vx = g.vertices[vid]
         cat = vx.category
         if cat == STEM:
-            width = output_width(vx.kind)
+            width = vx.kind.width()
             ci = stem_comp.get(vid)
             if ci is None:
                 origins[vid] = [None] * width
@@ -326,6 +324,22 @@ def form_zigs(g: ComputationGraph,
     comps = sorted(comps + singles,
                    key=lambda c: min(topo_index[v] for v in c.vertex_ids))
 
+    stem_widths = []
+    for ci, comp in enumerate(comps):
+        ws = {g.vertices[s].kind.width() for s in comp.stem_ids}
+        if len(ws) > 1:
+            raise InconsistentStemWidths(
+                f"component {ci} stems have widths {sorted(ws)}"
+            )
+        stem_widths.append(ws.pop() if ws else 0)
+
+    # Channels reach the output through SID joints too, where growth stops.
+    origins = _channel_origins(g, comps)
+    if g.output_id is not None:
+        for p in g.preds[g.output_id]:
+            for origin in set(origins[p]) - {None}:
+                comps[origin[0]].adjacent_to_output = True
+
     excluded_ids: set[int] = set()
     reasons: dict[int, str] = {}
     for ci, comp in enumerate(comps):
@@ -335,17 +349,7 @@ def form_zigs(g: ComputationGraph,
         elif comp.contains_unknown:
             excluded_ids.add(ci)
             reasons[ci] = "contains-unknown"
-
-    widths = []
-    for ci, comp in enumerate(comps):
-        ws = {output_width(g.vertices[s].kind) for s in comp.stem_ids}
-        if len(ws) > 1:
-            raise InconsistentStemWidths(
-                f"component {ci} stems have widths {sorted(ws)}"
-            )
-        widths.append(0 if (ci in excluded_ids or not ws) else ws.pop())
-
-    origins = _channel_origins(g, comps)
+    widths = [0 if ci in excluded_ids else w for ci, w in enumerate(stem_widths)]
 
     groups: dict[int, list[ZeroInvariantGroup]] = {}
     for ci, comp in enumerate(comps):

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from zigprune.builders import BUILDERS, demo_net
-from zigprune.engine import (
-    _backward_vertex,
-    _forward_vertex,
-    accuracy,
-    backward,
-    evaluate_loss,
-    forward,
-)
+from zigprune.engine import accuracy, backward, evaluate_loss, forward
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
 from zigprune.paramvec import ParamIndex
@@ -317,7 +310,8 @@ def test_batchnorm_backward_on_eval_cache():
     d = out / out.shape[0]  # mse gradient at zero targets
     assert np.abs(grads[6]["gamma"] - (d * xhat).sum(axis=0)).max() < 1e-12
     assert np.abs(grads[6]["beta"] - d.sum(axis=0)).max() < 1e-12
-    dx = _backward_vertex(g.vertices[6], cache["vcaches"][6], d,
+    vx = g.vertices[6]
+    dx = vx.kind.backward(vx.params, cache["vcaches"][6], d,
                           {"gamma": np.zeros(4), "beta": np.zeros(4)})[0]
     want = d * p.gamma / np.sqrt(p.running_var + 1e-5)
     assert np.abs(dx - want).max() < 1e-12
@@ -349,6 +343,44 @@ def test_avg_pool_matches_loop_and_finite_differences(k, stride, size):
     want = loop_avg_pool(cache["acts"][0], k, stride)
     assert np.abs(cache["acts"][1] - want).max() < 1e-14
     assert finite_difference_check(g, "mse", n_coords=40, seed=18) < 1e-5
+
+
+def loop_max_pool(x, k, stride):
+    n, c, h, w = x.shape
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    out = np.zeros((n, c, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            out[:, :, i, j] = x[:, :, i * stride:i * stride + k,
+                                j * stride:j * stride + k].max(axis=(2, 3))
+    return out
+
+
+@pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)])
+def test_max_pool_matches_loop_and_finite_differences(k, stride):
+    size = 5
+    ho = (size - k) // stride + 1
+    g = graph_of((1, 2, size, size), [
+        conv_spec(2, 2),
+        {"op": "max_pool", "kernel": k, "stride": stride},
+        {"op": "flatten"},
+        {"op": "linear", "in_features": 2 * ho * ho, "out_features": 3},
+    ], [[0, 1], [1, 2], [2, 3]], seed=30)
+    x = np.random.default_rng(31).normal(size=(2, 2, size, size))
+    _, cache = forward(g, x, mode="eval")
+    assert np.array_equal(cache["acts"][1], loop_max_pool(cache["acts"][0], k, stride))
+    assert finite_difference_check(g, "mse", n_coords=40, seed=32) < 1e-5
+
+
+def test_strided_padded_conv_finite_differences():
+    g = graph_of((1, 2, 5, 5), [
+        conv_spec(2, 3, k=3, stride=2, pad=1),
+        {"op": "relu"},
+        conv_spec(3, 2, k=3, stride=2, pad=1),
+        {"op": "flatten"},
+        {"op": "linear", "in_features": 8, "out_features": 2},
+    ], [[0, 1], [1, 2], [2, 3], [3, 4]], seed=33)
+    assert finite_difference_check(g, "mse", n_coords=60, seed=34) < 1e-5
 
 
 @pytest.mark.parametrize("from_input", [True, False])
@@ -429,8 +461,8 @@ def test_folded_batchnorm_matches_two_pass_oracle(shape):
     g = graph_of(shape, [{"op": "batch_norm", "channels": c}], [], seed=26)
     vx = randomize_bn(g, 27).vertices[0]
     want = two_pass_batchnorm(x, d, vx.params.gamma, vx.params.beta)
-    out, vcache = _forward_vertex(vx, [x], "train")
+    out, vcache = vx.kind.forward(vx.params, [x], "train")
     grads = {"gamma": np.zeros(c), "beta": np.zeros(c)}
-    dx, = _backward_vertex(vx, vcache, d, grads)
+    dx, = vx.kind.backward(vx.params, vcache, d, grads)
     for got, ref in zip((out, dx, grads["gamma"], grads["beta"]), want):
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()

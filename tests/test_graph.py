@@ -1,3 +1,5 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from zigprune.errors import (
     UnknownKindString,
 )
 from zigprune.graph import (
+    _KIND_BY_OP,
     Add,
     Concat,
     build_graph,
@@ -194,6 +197,49 @@ def test_serialization_round_trip_random_dags():
         g = random_small_dag(rng)
         g2 = build_graph(graph_to_doc(g))
         assert graphs_structurally_equal(g, g2)
+
+
+# Document attributes per op, written out by hand; has_bias at its
+# non-default value so the round trip cannot pass by falling back to it.
+OP_ATTRS = {
+    "conv2d": {"kernel": 3, "stride": 2, "padding": 1, "in_channels": 2,
+               "out_channels": 5, "has_bias": False},
+    "linear": {"in_features": 4, "out_features": 3, "has_bias": False},
+    "batch_norm": {"channels": 4},
+    "max_pool": {"kernel": 3, "stride": 2},
+    "avg_pool": {"kernel": 2, "stride": 1},
+    "unknown": {"opname": "mystery"},
+}
+
+
+def one_op_doc(op, attrs):
+    """The op as vertex 2, fed by as many ReLU roots as its category needs."""
+    cls = _KIND_BY_OP[op]
+    n_in = 2 if cls.category in ("sd_joint", "sid_joint") else 1
+    roots = [{"id": i, "op": "relu"} for i in range(n_in)]
+    return {"input_shapes": [[1, 4]],
+            "vertices": roots + [{"id": 2, "op": op, **attrs}],
+            "edges": [[i, 2] for i in range(n_in)]}
+
+
+@pytest.mark.parametrize("op", sorted(_KIND_BY_OP))
+def test_kind_attributes_round_trip(op):
+    cls = _KIND_BY_OP[op]
+    attrs = OP_ATTRS.get(op, {})
+    assert set(attrs) == {f.name for f in fields(cls)}
+    g = build_graph(one_op_doc(op, attrs))
+    assert g.vertices[2].kind == cls(**attrs)
+    vdoc = graph_to_doc(g, include_params=False)["vertices"][-1]
+    assert vdoc == {"id": 2, "op": op, **attrs}
+    assert graphs_structurally_equal(g, build_graph(graph_to_doc(g)))
+    for f in fields(cls):
+        partial = {k: v for k, v in attrs.items() if k != f.name}
+        if f.default is MISSING:
+            with pytest.raises(GraphError, match=f.name):
+                build_graph(one_op_doc(op, partial))
+        else:
+            kind = build_graph(one_op_doc(op, partial)).vertices[2].kind
+            assert getattr(kind, f.name) == f.default
 
 
 def test_conv_chain_vertex_count():

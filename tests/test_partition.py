@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zigprune.builders import conv_chain, demo_net, residual_block_net, stacked_unets_mini
-from zigprune.compression import compress, make_mask
+from zigprune.compression import compress, make_mask, verify_equivalence
 from zigprune.engine import forward
 from zigprune.errors import InconsistentStemWidths
 from zigprune.graph import build_graph, graph_to_doc, infer_shapes, init_params
@@ -50,6 +50,30 @@ def test_pure_stem_chain_has_no_seeds():
     # the last conv feeds the output: excluded; the first is groupable
     assert part.widths == [4, 0]
     assert [e.reason for e in part.excluded] == ["output-adjacent"]
+
+
+def test_stems_reaching_output_through_concat_are_excluded():
+    # Growth stops at the concat, so neither linear feeds the output
+    # directly, yet removing a row of either would narrow the output.
+    doc = {
+        "input_shapes": [[1, 4]],
+        "vertices": [
+            {"id": 0, "op": "linear", "in_features": 4, "out_features": 3},
+            {"id": 1, "op": "linear", "in_features": 4, "out_features": 3},
+            {"id": 2, "op": "concat"},
+            {"id": 3, "op": "output"},
+        ],
+        "edges": [[0, 2], [1, 2], [2, 3]],
+    }
+    g = infer_shapes(build_graph(doc))
+    init_params(g, np.random.default_rng(0))
+    part = partition(g)
+    assert part.widths == [0, 0] and part.zigs == []
+    assert [e.reason for e in part.excluded] == ["output-adjacent"] * 2
+    assert all(c.adjacent_to_output for c in part.components)
+    small, mask = compress(g, part)
+    assert mask.empty
+    assert verify_equivalence(g, small, n_trials=3)["passed"]
 
 
 def test_unknown_vertex_seeds_own_component():
