@@ -5,6 +5,11 @@ the producer side and erases the matching input-channel slices of every
 consumer (weight column blocks for convolutions, flat-feature columns after a
 Flatten, per-channel statistics for normalization), so the pruned graph
 reproduces the full graph's eval-mode outputs exactly.
+
+Surgery reads the partition's channel table (``PartitionResult.channel_groups``)
+and walks no graph of its own: ``build_channel_maps`` lists each vertex's
+surviving output channels, and ``prune`` narrows every operator to its own
+list (output rows) and its predecessor's list (input channels).
 """
 
 from __future__ import annotations
@@ -15,17 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllGroupsZeroInComponent, GraphError, ShapeMismatchAfterPrune
-from .graph import (
-    ACCESSORY,
-    ComputationGraph,
-    Flatten,
-    SD_JOINT,
-    SID_JOINT,
-    STEM,
-    Vertex,
-    count_flops_params,
-    infer_shapes,
-)
+from .graph import ComputationGraph, Vertex, count_flops_params, infer_shapes
 from .partition import PartitionResult, group_is_zero
 from .engine import forward
 
@@ -75,80 +70,31 @@ def make_mask(part: PartitionResult, zero_group_ids: list[int]) -> PruneMask:
 
 
 # ---------------------------------------------------------------------------
-# channel maps
+# channel maps and surgery
 # ---------------------------------------------------------------------------
 
 def build_channel_maps(g: ComputationGraph, part: PartitionResult,
-                       mask: PruneMask) -> dict[tuple[int, int], list[int]]:
-    """Per edge: ordered surviving source-channel indices (original numbering).
+                       mask: PruneMask) -> dict[int, list[int]]:
+    """Per vertex: its surviving output channels (original numbering).
 
-    Concat offsets survivors by the full (unpruned) widths of earlier inputs;
-    Flatten expands each surviving channel into its block of height*width flat
-    indices.
+    Channel k survives unless the group that ``part.channel_groups``
+    records for it is zero; a channel no group controls always survives.
+    Concat offsets and Flatten blocks are already in the table.
     """
-    stem_comp: dict[int, int] = {}
-    for ci, comp in enumerate(part.components):
-        for s in comp.stem_ids:
-            stem_comp[s] = ci
-    out_map: dict[int, list[int]] = {}
-    for vid in g.topo_order:
-        vx = g.vertices[vid]
-        cat = vx.category
-        if cat == STEM:
-            ci = stem_comp.get(vid)
-            if ci is not None and part.widths[ci]:
-                out_map[vid] = list(mask.survivors[ci])
-            else:
-                out_map[vid] = list(range(vx.kind.width()))
-        elif vid in g.input_binding:
-            out_map[vid] = list(range(vx.out_shape[1]))
-        elif cat == ACCESSORY:
-            src = g.preds[vid][0]
-            if isinstance(vx.kind, Flatten):
-                _, _, h, w = g.vertices[src].out_shape
-                out_map[vid] = [c * h * w + i for c in out_map[src] for i in range(h * w)]
-            else:
-                out_map[vid] = out_map[src]
-        elif cat == SD_JOINT:
-            ins = [out_map[p] for p in g.joint_input_order(vid)]
-            if any(m != ins[0] for m in ins[1:]):
-                raise ShapeMismatchAfterPrune(
-                    f"SD joint {vid} inputs prune to different channel sets"
-                )
-            out_map[vid] = ins[0]
-        elif cat == SID_JOINT:
-            merged: list[int] = []
-            offset = 0
-            for p in g.joint_input_order(vid):
-                merged.extend(c + offset for c in out_map[p])
-                offset += g.vertices[p].out_shape[1]
-            out_map[vid] = merged
-        else:  # unknown / output: channels fixed
-            src = g.preds[vid][0] if g.preds[vid] else None
-            out_map[vid] = list(out_map[src]) if src is not None else []
-    return {(src, dst): list(out_map[src]) for src, dst in g.edges}
+    zero = mask.zero_flags
+    return {vid: [k for k, gi in enumerate(groups) if gi < 0 or not zero[gi]]
+            for vid, groups in part.channel_groups.items()}
 
 
-# ---------------------------------------------------------------------------
-# surgery
-# ---------------------------------------------------------------------------
-
-def prune(g: ComputationGraph, part: PartitionResult, mask: PruneMask,
-          maps: dict[tuple[int, int], list[int]]) -> ComputationGraph:
+def prune(g: ComputationGraph, mask: PruneMask,
+          maps: dict[int, list[int]]) -> ComputationGraph:
     """Build the pruned graph: same topology, narrowed operators."""
-    stem_comp: dict[int, int] = {}
-    for ci, comp in enumerate(part.components):
-        for s in comp.stem_ids:
-            stem_comp[s] = ci
-
     new_vertices: dict[int, Vertex] = {}
     for vid, vx in g.vertices.items():
-        ci = stem_comp.get(vid)
-        keep_rows = mask.survivors[ci] if ci is not None and part.widths[ci] else None
         # a graph input has nothing pruned upstream
-        in_map = maps[(g.preds[vid][0], vid)] if g.preds[vid] else None
+        in_map = maps[g.preds[vid][0]] if g.preds[vid] else None
         params = vx.params.copy() if vx.params is not None else None
-        kind, params = vx.kind.narrow(params, keep_rows, in_map)
+        kind, params = vx.kind.narrow(params, maps[vid], in_map)
         new_vertices[vid] = Vertex(id=vid, kind=kind, name=vx.name, params=params)
 
     pruned = ComputationGraph(
@@ -197,7 +143,7 @@ def compress(g: ComputationGraph, part: PartitionResult,
     if mask is None:
         mask = detect_zero_groups(g, part)
     maps = build_channel_maps(g, part, mask)
-    return prune(g, part, mask, maps), mask
+    return prune(g, mask, maps), mask
 
 
 # ---------------------------------------------------------------------------

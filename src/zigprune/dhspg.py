@@ -140,9 +140,6 @@ class DhspgOptimizer:
 
     # -- group bookkeeping ---------------------------------------------------
 
-    def group_values(self, gs: GroupState) -> np.ndarray:
-        return self.x[gs.indices]
-
     def zero_group_count(self) -> int:
         return sum(1 for gs in self.groups if not self.x[gs.indices].any())
 

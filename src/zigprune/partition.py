@@ -10,7 +10,7 @@ including split slices of accessories that sit downstream of a channel concat.
 
 Components whose channels reach the graph output, directly or through a
 channel concat, keep the output interface fixed and are excluded; so are
-components containing unknown vertices.
+components containing unknown vertices or whose channels reach one.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ class PartitionResult:
     zigs: list[ZeroInvariantGroup]
     excluded: list[ExcludedComponent]
     widths: list[int]  # groups per component (0 for stemless / excluded)
+    # per vertex: position in zigs of the group controlling each output
+    # channel (-1: none); surgery reads it, to_doc leaves it out
+    channel_groups: dict[int, list[int]]
 
     @property
     def excluded_ids(self) -> set[int]:
@@ -256,8 +259,12 @@ def _channel_origins(g: ComputationGraph,
                      comps: list[DependencyComponent]) -> dict[int, list]:
     """Per vertex: which (component, group) produced each output channel.
 
+    This is the one walk of channel provenance: grouping routes accessory
+    slices and output/unknown exclusions by it, and surgery keeps a channel
+    unless its group is zero (via ``PartitionResult.channel_groups``).
     After a Flatten, entries are per flat feature (each channel repeated
-    height*width times). None marks a channel no stem controls (raw input).
+    height*width times). None marks a channel no stem controls (raw input,
+    unknown op output).
     """
     stem_comp = {}
     for ci, comp in enumerate(comps):
@@ -333,12 +340,19 @@ def form_zigs(g: ComputationGraph,
             )
         stem_widths.append(ws.pop() if ws else 0)
 
-    # Channels reach the output through SID joints too, where growth stops.
+    # Channels reach the output and unknown ops through SID joints too,
+    # where growth stops.
     origins = _channel_origins(g, comps)
-    if g.output_id is not None:
-        for p in g.preds[g.output_id]:
+    for vid in g.topo_order:
+        cat = g.vertices[vid].category
+        if cat not in (OUTPUT, UNKNOWN):
+            continue
+        for p in g.preds[vid]:
             for origin in set(origins[p]) - {None}:
-                comps[origin[0]].adjacent_to_output = True
+                if cat == OUTPUT:
+                    comps[origin[0]].adjacent_to_output = True
+                else:
+                    comps[origin[0]].contains_unknown = True
 
     excluded_ids: set[int] = set()
     reasons: dict[int, str] = {}
@@ -412,13 +426,16 @@ def form_zigs(g: ComputationGraph,
             z.slices.sort(key=lambda s: (topo_index[s.vertex_id],
                                          ROLE_ORDER[s.role], s.start))
             zigs.append(z)
+    position = {(z.component_id, z.group_index): i for i, z in enumerate(zigs)}
+    channel_groups = {vid: [position.get(o, -1) for o in orig]
+                      for vid, orig in origins.items()}
 
     excluded = [ExcludedComponent(ci, reasons[ci], excl_params[ci])
                 for ci in sorted(excluded_ids)]
     if stray_params:
         excluded.append(ExcludedComponent(-1, "no-producer", stray_params))
-    return PartitionResult(components=comps, zigs=zigs,
-                           excluded=excluded, widths=widths)
+    return PartitionResult(components=comps, zigs=zigs, excluded=excluded,
+                           widths=widths, channel_groups=channel_groups)
 
 
 def partition(g: ComputationGraph) -> PartitionResult:

@@ -111,9 +111,9 @@ def test_channel_map_concat_offsets():
     # components: conv0 (3 groups), conv1 (3 groups); conv3 is output-adjacent
     mask = make_mask(part, [1, 3, 5])  # conv0 keeps [0, 2]; conv1 keeps [1]
     maps = build_channel_maps(g, part, mask)
-    assert maps[(0, 2)] == [0, 2]
-    assert maps[(1, 2)] == [1]
-    assert maps[(2, 3)] == [0, 2, 4]
+    assert maps[0] == [0, 2]
+    assert maps[1] == [1]
+    assert maps[2] == [0, 2, 4]
 
 
 def test_channel_map_sd_add_shares_survivors():
@@ -122,11 +122,11 @@ def test_channel_map_sd_add_shares_survivors():
     mask = make_mask(part, [16, 18])  # branch-B groups 0 and 2
     maps = build_channel_maps(g, part, mask)
     survivors = [j for j in range(16) if j not in (0, 2)]
-    assert maps[(3, 5)] == survivors
-    assert maps[(4, 5)] == survivors
-    assert maps[(5, 6)] == survivors
+    assert maps[3] == survivors
+    assert maps[4] == survivors
+    assert maps[5] == survivors
     # concat output: full branch A then shifted branch B survivors
-    assert maps[(9, 10)] == list(range(16)) + [16 + j for j in survivors]
+    assert maps[9] == list(range(16)) + [16 + j for j in survivors]
 
 
 def test_channel_map_flatten_block_expansion():
@@ -148,7 +148,27 @@ def test_channel_map_flatten_block_expansion():
     part = partition(g)
     mask = make_mask(part, [0])  # drop channel 0 of the conv, keep [1]
     maps = build_channel_maps(g, part, mask)
-    assert maps[(2, 3)] == [4, 5, 6, 7]
+    assert maps[2] == [4, 5, 6, 7]
+
+
+def test_channel_table_matches_pruned_shapes():
+    # every vertex's map is as wide as its pruned output, and the output's
+    # predecessor keeps every channel, on the builders and random DAGs
+    from zigprune.builders import random_small_dag
+    rng = np.random.default_rng(41)
+    graphs = [make(seed=17) for _, make in sorted(BUILDERS.items())]
+    graphs += [random_small_dag(rng) for _ in range(30)]
+    for g in graphs:
+        part = partition(g)
+        for _ in range(3):
+            mask = make_mask(part, random_mask_ids(part, rng))
+            maps = build_channel_maps(g, part, mask)
+            small, _ = compress(g, part, mask)
+            for vid, vx in small.vertices.items():
+                if vid != small.output_id:
+                    assert len(maps[vid]) == vx.out_shape[1], vid
+            for p in g.preds[g.output_id]:
+                assert maps[p] == list(range(g.vertices[p].out_shape[1]))
 
 
 def test_prune_demo_net_param_arithmetic():

@@ -76,6 +76,35 @@ def test_stems_reaching_output_through_concat_are_excluded():
     assert verify_equivalence(g, small, n_trials=3)["passed"]
 
 
+def test_stems_reaching_unknown_through_concat_are_excluded():
+    # Growth stops at the concat, so the unknown op's component does not
+    # absorb the convs, yet removing a channel of either would narrow the
+    # opaque op's input.
+    doc = {
+        "input_shapes": [[1, 2, 4, 4]],
+        "vertices": [
+            {"id": 0, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+             "in_channels": 2, "out_channels": 3},
+            {"id": 1, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+             "in_channels": 2, "out_channels": 3},
+            {"id": 2, "op": "concat"},
+            {"id": 3, "op": "unknown", "opname": "mystery"},
+            {"id": 4, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+             "in_channels": 6, "out_channels": 2},
+            {"id": 5, "op": "output"},
+        ],
+        "edges": [[0, 2], [1, 2], [2, 3], [3, 4], [4, 5]],
+    }
+    g = infer_shapes(build_graph(doc))
+    init_params(g, np.random.default_rng(0))
+    part = partition(g)
+    assert part.zigs == [] and not any(part.widths)
+    excluded = {e.component_id: e.reason for e in part.excluded}
+    for stem in (0, 1):
+        ci = next(ci for ci, c in enumerate(part.components) if stem in c.stem_ids)
+        assert excluded[ci] == "contains-unknown"
+
+
 def test_unknown_vertex_seeds_own_component():
     doc = {
         "input_shapes": [[1, 2, 4, 4]],
