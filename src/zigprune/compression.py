@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AllGroupsZeroInComponent, GraphError, ShapeMismatchAfterPrune
 from .graph import ComputationGraph, Vertex, count_flops_params, infer_shapes
-from .partition import PartitionResult, group_is_zero
+from .partition import PartitionResult
 from .engine import forward
 
 
@@ -41,10 +41,24 @@ class PruneMask:
 def detect_zero_groups(g: ComputationGraph, part: PartitionResult) -> PruneMask:
     """Flag groups whose every slice is exactly zero.
 
+    Each (vertex, role) array's row-nonzero flags are prefix-summed once, so
+    a slice [start, stop) is nonzero when the sum rises across it; the
+    slices' answers are or-ed into their groups.
+
     Raises AllGroupsZeroInComponent when a component would lose all groups;
     a zero-width operator cannot be constructed.
     """
-    return make_mask(part, [i for i, z in enumerate(part.zigs) if group_is_zero(g, z)])
+    by_array: dict[tuple[int, str], list[tuple[int, int, int]]] = {}
+    for i, z in enumerate(part.zigs):
+        for s in z.slices:
+            by_array.setdefault((s.vertex_id, s.role), []).append((i, s.start, s.stop))
+    nonzero = np.zeros(len(part.zigs), dtype=bool)
+    for (vid, role), rows in by_array.items():
+        arr = getattr(g.vertices[vid].params, "weight" if role == "weight_row" else role)
+        seen = np.concatenate(([0], np.cumsum(arr.reshape(len(arr), -1).any(axis=1))))
+        owner, start, stop = np.array(rows).T
+        np.logical_or.at(nonzero, owner, seen[stop] > seen[start])
+    return make_mask(part, np.flatnonzero(~nonzero).tolist())
 
 
 def make_mask(part: PartitionResult, zero_group_ids: list[int]) -> PruneMask:

@@ -1,14 +1,12 @@
 """Dataset generation and file formats.
 
-Synthetic beds are generated in memory from a seed. Tensor files are a raw
-little-endian binary alongside a JSON header ({"dtype", "shape"}); the
-image-csv loader accepts label,pixel0,...,pixelN rows (header row optional).
+Synthetic beds are generated in memory from a seed; the image-csv loader
+accepts label,pixel0,...,pixelN rows (header row optional).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -129,22 +127,8 @@ def gen_synthetic_classification(seed: int, n_train: int = 8000,
 
 
 # ---------------------------------------------------------------------------
-# tensor files and image csv
+# image csv
 # ---------------------------------------------------------------------------
-
-def save_tensor(prefix: str, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"dtype": str(arr.dtype), "shape": list(arr.shape)}, fh)
-    arr.tofile(prefix + ".bin")
-
-
-def load_tensor(prefix: str) -> np.ndarray:
-    with open(prefix + ".json", encoding="utf-8") as fh:
-        header = json.load(fh)
-    arr = np.fromfile(prefix + ".bin", dtype=np.dtype(header["dtype"]))
-    return arr.reshape(header["shape"])
-
 
 def _read_label_pixel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     labels = []

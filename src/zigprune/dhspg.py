@@ -18,6 +18,14 @@ penalized set takes the ones whose removal saves the most.
 The baseline mode ("hspg") instead penalizes every group with one global
 coefficient and never targets a specific count, which is exactly the control
 the sweep utilities contrast against.
+
+Groups are held in CSR form: ``idx`` is all groups' indices into the flat
+iterate, concatenated in group order; group i starts at ``off[i]`` and
+``seg`` names each entry's group. A step gathers ``x[idx]`` and
+``velocity[idx]`` once and takes per-group norms and dots with
+``np.add.reduceat(., off)``. Group state is one array per field, indexed by
+group: ``penalized``, ``frozen``, ``penalty``, ``cos_theta``, ``salience``,
+``cost_weight``, ``component``. Frozen groups' indices sit in one array.
 """
 
 from __future__ import annotations
@@ -64,18 +72,6 @@ class OptimizerConfig:
             raise ConfigError("target_zero_groups must be nonnegative")
 
 
-@dataclass
-class GroupState:
-    indices: np.ndarray
-    component_id: int = -1
-    cos_theta: float = 0.0
-    salience: float = 0.0
-    penalized: bool = False
-    penalty: float = 0.0
-    frozen: bool = False
-    cost_weight: float = 1.0         # group cost / mean cost; 1 without costs
-
-
 def lambda_interval(cos_theta: float, grad_norm: float):
     """Admissible penalty interval (lo, hi), or None when any positive value
     keeps the direction inside both half-spaces (cos_theta >= 0)."""
@@ -84,19 +80,20 @@ def lambda_interval(cos_theta: float, grad_norm: float):
     return -cos_theta * grad_norm, -grad_norm / cos_theta
 
 
-def choose_penalty(cos_theta: float, grad_norm: float,
-                   default_penalty: float, amplify: float) -> float:
-    interval = lambda_interval(cos_theta, grad_norm)
-    if interval is None:
-        return default_penalty
-    lo, hi = interval
-    return min(amplify * lo, hi)
+def choose_penalty(cos_theta, grad_norm, default_penalty: float, amplify: float):
+    """Per group: the default where cos_theta >= 0, else amplify times the
+    interval's low end, capped at its high end. Scalars or arrays."""
+    opposed = cos_theta < 0.0
+    lo = -cos_theta * grad_norm
+    hi = -grad_norm / np.where(opposed, cos_theta, -1.0)
+    return np.where(opposed, np.minimum(amplify * lo, hi), default_penalty)[()]
 
 
-def group_cosine(x_g: np.ndarray, grad_g: np.ndarray, floor: float) -> float:
-    denom = max(float(np.linalg.norm(x_g)), floor) * \
-        max(float(np.linalg.norm(grad_g)), floor)
-    return float(np.clip(np.dot(x_g, grad_g) / denom, -1.0, 1.0))
+def group_cosine(dot, x_norm, grad_norm, floor: float):
+    """Cosine of the angle between x_g and grad_g from their dot product and
+    norms, each norm floored. Scalars or arrays."""
+    return np.clip(dot / (np.maximum(x_norm, floor) * np.maximum(grad_norm, floor)),
+                   -1.0, 1.0)[()]
 
 
 class DhspgOptimizer:
@@ -111,25 +108,35 @@ class DhspgOptimizer:
         self.x = np.asarray(x0, dtype=float).copy()
         self.velocity = np.zeros_like(self.x)
         self.t = 0
-        comps = group_components or [-1] * len(groups)
-        if len(comps) != len(groups):
+        n = len(groups)
+        sizes = np.array([len(ix) for ix in groups], dtype=np.intp)
+        self.idx = np.concatenate(groups).astype(np.intp) if n else np.empty(0, dtype=np.intp)
+        self.off = np.cumsum(sizes) - sizes
+        self.seg = np.repeat(np.arange(n), sizes)
+        if (sizes == 0).any():
+            raise ConfigError(f"group {int(np.argmin(sizes))} has no indices")
+        if self.idx.size and (self.idx.min() < 0 or self.idx.max() >= self.x.size
+                              or np.bincount(self.idx).max() > 1):
+            raise ConfigError(f"group indices must be distinct and lie in [0, {self.x.size})")
+        if group_components is not None and len(group_components) != n:
             raise ConfigError("group_components must align with groups")
-        self.groups = [GroupState(indices=np.asarray(ix, dtype=np.intp),
-                                  component_id=ci)
-                       for ix, ci in zip(groups, comps)]
+        self.component = None if group_components is None else \
+            np.asarray(group_components, dtype=np.intp)
+        self.cost_weight = np.ones(n)
         if group_costs is not None:
             costs = np.asarray(group_costs, dtype=float)
-            if costs.shape != (len(groups),) or (costs < 0).any():
+            if costs.shape != (n,) or (costs < 0).any():
                 raise ConfigError("group_costs must be nonnegative and align with groups")
-            mean = float(costs.mean()) if len(costs) else 0.0
+            mean = float(costs.mean()) if n else 0.0
             if mean > 0:
-                for gs, c in zip(self.groups, costs):
-                    gs.cost_weight = float(c) / mean
+                self.cost_weight = costs / mean
+        self.penalized, self.frozen = np.zeros((2, n), dtype=bool)
+        self.penalty, self.cos_theta, self.salience = np.zeros((3, n))
+        self._frozen_idx = np.empty(0, dtype=np.intp)
         self.steps_per_epoch = max(1, steps_per_epoch)
         self.warmup_until = config.warmup_steps or 0
         self.project_from = config.project_start_step or 0
         self._partitioned = False
-        self._floor_components = group_components is not None
 
     # -- schedule ----------------------------------------------------------
 
@@ -140,43 +147,47 @@ class DhspgOptimizer:
 
     # -- group bookkeeping ---------------------------------------------------
 
+    def _sum(self, a: np.ndarray) -> np.ndarray:
+        """Per-group sums of an array laid out like idx."""
+        return np.add.reduceat(a, self.off)
+
+    def _is_zero(self, xg: np.ndarray) -> np.ndarray:
+        """Per group: every entry of the gathered iterate is exactly zero."""
+        return ~np.logical_or.reduceat(xg != 0, self.off)
+
+    def zero_group_ids(self) -> list[int]:
+        return np.flatnonzero(self._is_zero(self.x[self.idx])).tolist()
+
     def zero_group_count(self) -> int:
-        return sum(1 for gs in self.groups if not self.x[gs.indices].any())
+        return int(np.count_nonzero(self._is_zero(self.x[self.idx])))
 
     def group_sparsity(self) -> float:
-        return self.zero_group_count() / len(self.groups) if self.groups else 0.0
+        return self.zero_group_count() / self.off.size if self.off.size else 0.0
 
     def penalty_stats(self) -> dict:
-        lams = [gs.penalty for gs in self.groups if gs.penalized and not gs.frozen]
-        if not lams:
+        lams = self.penalty[self.penalized & ~self.frozen]
+        if not lams.size:
             return {"penalty_min": 0.0, "penalty_mean": 0.0, "penalty_max": 0.0}
-        return {"penalty_min": float(min(lams)),
+        return {"penalty_min": float(lams.min()),
                 "penalty_mean": float(np.mean(lams)),
-                "penalty_max": float(max(lams))}
+                "penalty_max": float(lams.max())}
 
     # -- phases -------------------------------------------------------------
-
-    def warmup_step(self, grad: np.ndarray) -> None:
-        """Momentum SGD on all variables, no penalization."""
-        alpha = self.learning_rate()
-        self.velocity *= self.cfg.momentum
-        self.velocity += grad
-        self.x -= alpha * self.velocity
-        self.t += 1
 
     def compute_salience(self, grad_est: np.ndarray) -> None:
         """Redundancy score: alignment of the projection-to-zero direction
         with the negative gradient, plus inverse relative magnitude, times
         the group's cost weight (its cost over the mean cost, or 1 when no
         costs were given)."""
-        floor = self.cfg.norm_floor
-        mags = [float(np.linalg.norm(self.x[gs.indices])) for gs in self.groups]
-        top = max(max(mags), floor) if mags else floor
-        for gs, mag in zip(self.groups, mags):
-            gs.cos_theta = group_cosine(self.x[gs.indices], grad_est[gs.indices], floor)
-            gs.salience = gs.cost_weight * (
-                self.cfg.salience_cos_weight * gs.cos_theta
-                + self.cfg.salience_mag_weight * (1.0 - mag / top))
+        cfg = self.cfg
+        xg, gg = self.x[self.idx], grad_est[self.idx]
+        mags = np.sqrt(self._sum(xg * xg))
+        top = np.max(mags, initial=cfg.norm_floor)
+        self.cos_theta = group_cosine(self._sum(xg * gg), mags,
+                                      np.sqrt(self._sum(gg * gg)), cfg.norm_floor)
+        self.salience = self.cost_weight * (
+            cfg.salience_cos_weight * self.cos_theta
+            + cfg.salience_mag_weight * (1.0 - mags / top))
 
     def partition_penalized(self) -> None:
         """Fix the penalized set: top-K salience, ties to the lower index.
@@ -186,107 +197,92 @@ class DhspgOptimizer:
         has a survivor to keep.
         """
         k = self.cfg.target_zero_groups
-        if k > len(self.groups):
-            raise KExceedsGroupCount(f"K={k} exceeds {len(self.groups)} groups")
-        order = sorted(range(len(self.groups)),
-                       key=lambda i: (-self.groups[i].salience, i))
-        remaining: dict[int, int] = {}
-        if self._floor_components:
-            for gs in self.groups:
-                remaining[gs.component_id] = remaining.get(gs.component_id, 0) + 1
-        chosen = 0
-        for i in order:
-            if chosen == k:
-                break
-            gs = self.groups[i]
-            if self._floor_components and remaining[gs.component_id] <= 1:
-                continue
-            gs.penalized = True
-            chosen += 1
-            if self._floor_components:
-                remaining[gs.component_id] -= 1
-        if chosen < k:
-            raise ConfigError(
-                f"cannot penalize {k} groups while keeping one per component"
-            )
+        n = self.salience.size
+        if k > n:
+            raise KExceedsGroupCount(f"K={k} exceeds {n} groups")
+        order = np.lexsort((np.arange(n), -self.salience))
+        if self.component is not None:
+            # eligible: ranked, in salience order, below its component's last
+            _, comp, sizes = np.unique(self.component[order], return_inverse=True,
+                                       return_counts=True)
+            rank = np.empty(n, dtype=np.intp)
+            rank[np.argsort(comp, kind="stable")] = \
+                np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            order = order[rank < sizes[comp] - 1]
+        if order.size < k:
+            raise ConfigError(f"cannot penalize {k} groups while keeping one per component")
+        self.penalized[order[:k]] = True
         self._partitioned = True
 
-    def select_lambda(self, grad_est: np.ndarray) -> None:
-        """Re-choose each penalized group's coefficient from the current
-        iterate and gradient estimate."""
+    def select_lambda(self, xg: np.ndarray, gg: np.ndarray, x_sq: np.ndarray) -> None:
+        """Re-choose each active (penalized, unfrozen) group's coefficient from
+        the gathered iterate xg and gradient estimate gg; x_sq is xg's sums of squares."""
         cfg = self.cfg
-        for gs in self.groups:
-            if not gs.penalized or gs.frozen:
-                continue
-            g_g = grad_est[gs.indices]
-            gs.cos_theta = group_cosine(self.x[gs.indices], g_g, cfg.norm_floor)
-            if cfg.mode == "hspg":
-                gs.penalty = cfg.global_penalty
-            else:
-                gs.penalty = choose_penalty(gs.cos_theta,
-                                            float(np.linalg.norm(g_g)),
-                                            cfg.default_penalty,
-                                            cfg.penalty_amplify)
+        active = self.penalized & ~self.frozen
+        g_norm = np.sqrt(self._sum(gg * gg))
+        cos = group_cosine(self._sum(xg * gg), np.sqrt(x_sq), g_norm, cfg.norm_floor)
+        self.cos_theta[active] = cos[active]
+        if cfg.mode == "hspg":
+            self.penalty[active] = cfg.global_penalty
+        else:
+            self.penalty[active] = choose_penalty(
+                cos, g_norm, cfg.default_penalty, cfg.penalty_amplify)[active]
 
-    def direction(self, grad_est: np.ndarray) -> np.ndarray:
+    def direction(self, grad_est: np.ndarray, xg: np.ndarray,
+                  x_sq: np.ndarray) -> np.ndarray:
         """Negative gradient estimate, with the magnitude-penalty pull added
-        on penalized groups; frozen groups do not move."""
-        d = -grad_est.copy()
-        floor = self.cfg.norm_floor
-        for gs in self.groups:
-            if gs.frozen:
-                d[gs.indices] = 0.0
-            elif gs.penalized:
-                x_g = self.x[gs.indices]
-                scale = gs.penalty / max(float(np.linalg.norm(x_g)), floor)
-                d[gs.indices] -= scale * x_g
+        on active groups (frozen groups have zero velocity and do not move)."""
+        d = -grad_est
+        pull = (self.penalized & ~self.frozen)[self.seg]
+        scale = self.penalty / np.maximum(np.sqrt(x_sq), self.cfg.norm_floor)
+        d[self.idx[pull]] -= scale[self.seg[pull]] * xg[pull]
         return d
 
-    def halfspace_project(self, trial: np.ndarray) -> None:
-        """Zero-and-freeze penalized groups whose trial left the half-space;
-        in dhspg mode projection stops at the target count."""
+    def halfspace_project(self, trial: np.ndarray, xg: np.ndarray,
+                          x_sq: np.ndarray) -> None:
+        """Zero-and-freeze active groups whose trial left the half-space; in
+        dhspg mode only the first (target - zero groups) of them, in group
+        order, so projection stops at the target count."""
         cfg = self.cfg
-        achieved = self.zero_group_count()
-        for gs in self.groups:
-            if not gs.penalized or gs.frozen:
-                continue
-            if cfg.mode == "dhspg" and achieved >= cfg.target_zero_groups:
-                break
-            x_g = self.x[gs.indices]
-            if np.dot(x_g, trial[gs.indices]) < cfg.project_epsilon * np.dot(x_g, x_g):
-                trial[gs.indices] = 0.0
-                gs.frozen = True
-                self.velocity[gs.indices] = 0.0
-                achieved += 1
+        inner = self._sum(xg * trial[self.idx])
+        leaving = np.flatnonzero(self.penalized & ~self.frozen
+                                 & (inner < cfg.project_epsilon * x_sq))
+        if cfg.mode == "dhspg" and leaving.size:
+            achieved = int(np.count_nonzero(self._is_zero(xg)))
+            leaving = leaving[:max(cfg.target_zero_groups - achieved, 0)]
+        if leaving.size:
+            self.frozen[leaving] = True
+            self._frozen_idx = self.idx[self.frozen[self.seg]]
+            trial[self._frozen_idx] = 0.0
+            self.velocity[self._frozen_idx] = 0.0
         self.x = trial
 
     # -- main entry -----------------------------------------------------------
 
     def step(self, grad: np.ndarray) -> None:
         cfg = self.cfg
-        if cfg.mode == "sgd" or self.t < self.warmup_until:
-            self.warmup_step(grad)
-            return
-        if not self._partitioned:
-            if cfg.mode == "hspg":
-                for gs in self.groups:
-                    gs.penalized = True
-                self._partitioned = True
-            else:
-                # gradient estimate at the warm-up boundary seeds the scores
-                est_now = cfg.momentum * self.velocity + grad
-                self.compute_salience(est_now)
-                self.partition_penalized()
         alpha = self.learning_rate()
         self.velocity *= cfg.momentum
         self.velocity += grad
-        for gs in self.groups:
-            if gs.frozen:
-                self.velocity[gs.indices] = 0.0
-        self.select_lambda(self.velocity)
-        trial = self.x + alpha * self.direction(self.velocity)
-        if self.t >= self.project_from:
-            self.halfspace_project(trial)
+        self.velocity[self._frozen_idx] = 0.0
+        if not self._partitioned and cfg.mode != "sgd" and self.t >= self.warmup_until:
+            if cfg.mode == "hspg":
+                self.penalized[:] = True
+                self._partitioned = True
+            else:
+                # the gradient estimate at the warm-up boundary seeds the scores
+                self.compute_salience(self.velocity)
+                self.partition_penalized()
+        if not (self.penalized & ~self.frozen).any():
+            # warm-up, sgd mode, or no group left to pull or project
+            self.x -= alpha * self.velocity
         else:
-            self.x = trial
+            xg = self.x[self.idx]
+            x_sq = self._sum(xg * xg)
+            self.select_lambda(xg, self.velocity[self.idx], x_sq)
+            trial = self.x + alpha * self.direction(self.velocity, xg, x_sq)
+            if self.t >= self.project_from:
+                self.halfspace_project(trial, xg, x_sq)
+            else:
+                self.x = trial
         self.t += 1

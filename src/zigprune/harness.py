@@ -334,7 +334,7 @@ def train_regression(data: RegressionData, opt_cfg: OptimizerConfig,
 
 
 def zero_groups_of(opt: DhspgOptimizer) -> list[int]:
-    return [i for i, gs in enumerate(opt.groups) if not opt.x[gs.indices].any()]
+    return opt.zero_group_ids()
 
 
 def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,

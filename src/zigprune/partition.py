@@ -81,10 +81,6 @@ class PartitionResult:
     # channel (-1: none); surgery reads it, to_doc leaves it out
     channel_groups: dict[int, list[int]]
 
-    @property
-    def excluded_ids(self) -> set[int]:
-        return {e.component_id for e in self.excluded}
-
     def groups_of_component(self, ci: int) -> list[ZeroInvariantGroup]:
         return [z for z in self.zigs if z.component_id == ci]
 

@@ -79,10 +79,10 @@ def _penalties_and_direction(probe: QuadraticProbe, x: np.ndarray,
     for gi in probe.penalized:
         idx = probe.groups[gi]
         x_g, g_g = x[idx], grad[idx]
-        cos = group_cosine(x_g, g_g, _NORM_FLOOR)
-        lam = choose_penalty(cos, float(np.linalg.norm(g_g)),
-                             probe.default_penalty, amplify)
-        d[idx] -= lam * x_g / max(float(np.linalg.norm(x_g)), _NORM_FLOOR)
+        x_norm, g_norm = float(np.linalg.norm(x_g)), float(np.linalg.norm(g_g))
+        cos = group_cosine(x_g @ g_g, x_norm, g_norm, _NORM_FLOOR)
+        lam = choose_penalty(cos, g_norm, probe.default_penalty, amplify)
+        d[idx] -= lam * x_g / max(x_norm, _NORM_FLOOR)
         lams[gi] = lam
         coss[gi] = cos
     return grad, d, lams, coss

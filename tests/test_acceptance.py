@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance and budget.
 
-Run with `pytest -s tests/test_acceptance.py` to see one line per criterion.
+Run with `pytest -s tests/test_acceptance.py` to see one line per criterion;
+`pytest -m "not acceptance"` runs every other test.
 """
 
 import dataclasses
@@ -29,6 +30,8 @@ from zigprune.probes import default_probe, run_lemma_probes
 
 from test_compression import random_mask_ids, randomized
 from test_engine import finite_difference_check
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(name, elapsed, budget, detail=""):

@@ -351,3 +351,50 @@ def test_group_flops_savings_width_one_component(tmp_path):
         else:
             small, _ = compress(g, part, make_mask(part, [i]))
             assert savings[i] == full - count_flops_params(small)[0] > 0
+
+
+def zero_at_random(g, part, rng):
+    """Zero a random strict subset of each component's groups, and a strict
+    subset of the slices of some other groups (those stay nonzero)."""
+    ids = set(random_mask_ids(part, rng))
+    for i in ids:
+        zero_group(g, part.zigs[i])
+    for i, z in enumerate(part.zigs):
+        if i not in ids and len(z.slices) > 1 and rng.random() < 0.3:
+            for j in rng.choice(len(z.slices), len(z.slices) - 1, replace=False):
+                slice_view(g, z.slices[j])[...] = 0.0
+    return ids
+
+
+def test_detect_zero_groups_matches_group_is_zero():
+    from zigprune.builders import random_small_dag
+    from zigprune.partition import group_is_zero
+    rng = np.random.default_rng(31)
+    graphs = [make(seed=s) for make in BUILDERS.values() for s in range(5)]
+    graphs += [random_small_dag(rng) for _ in range(200)]
+    flagged = 0
+    for g in graphs:
+        randomized(g, rng)  # biases nonzero, so a partly zeroed group is not zero
+        part = partition(g)
+        zero_at_random(g, part, rng)
+        want = [group_is_zero(g, z) for z in part.zigs]
+        assert detect_zero_groups(g, part).zero_flags == want
+        flagged += sum(want)
+    assert flagged > 100
+
+
+def test_detect_zero_groups_on_benchmark_wide_graph(monkeypatch):
+    import os
+    from zigprune.graph import build_graph, init_params
+    from zigprune.partition import group_is_zero
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from workloads import DhspgManyGroups, wide_doc
+    w = DhspgManyGroups
+    g = infer_shapes(build_graph(wide_doc(w.GROUPS, w.VARS, w.CLASSES)))
+    init_params(g, np.random.default_rng(2))
+    part = partition(g)
+    for i in range(0, len(part.zigs), 2):
+        zero_group(g, part.zigs[i])
+    flags = detect_zero_groups(g, part).zero_flags
+    assert flags == [group_is_zero(g, z) for z in part.zigs]
+    assert sum(flags) == w.GROUPS // 2

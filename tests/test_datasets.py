@@ -6,9 +6,7 @@ from zigprune.datasets import (
     gen_synthetic_classification,
     gen_synthetic_regression,
     load_image_csv,
-    load_tensor,
     minibatches,
-    save_tensor,
 )
 
 
@@ -68,14 +66,6 @@ def test_classification_is_learnable_but_not_trivial():
     acc = (pred == data.y_test).mean()
     assert acc > 0.8
     assert acc < 1.0
-
-
-def test_tensor_file_round_trip(tmp_path):
-    arr = np.random.default_rng(0).normal(size=(3, 2, 4)).astype(np.float64)
-    save_tensor(str(tmp_path / "t"), arr)
-    back = load_tensor(str(tmp_path / "t"))
-    assert back.dtype == arr.dtype
-    assert np.array_equal(back, arr)
 
 
 def test_image_csv_loader(tmp_path):
