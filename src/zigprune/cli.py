@@ -126,8 +126,13 @@ def cmd_report(args) -> int:
     print(f"test accuracy: full {m['final_test_accuracy']:.4f}, "
           f"compressed {m['compressed_test_accuracy']:.4f}")
     print(f"mean epoch seconds: {m['mean_epoch_seconds']:.2f}")
+    flops = [row["train_flops"] for row in m["epochs"]]
+    narrowed = [row["epoch"] for row in m["epochs"] if row["train_flops"] < m["flops_full"]]
+    print(f"trained narrowed from epoch: {narrowed[0] if narrowed else 'never'}; "
+          f"mean train FLOPs {sum(flops) / max(len(flops), 1):.0f} of {m['flops_full']}")
     print(f"equivalence: max |diff| {m['equivalence']['max_abs_diff']:.3e} "
-          f"(tol {m['equivalence']['tol']:g})")
+          f"(relative {m['equivalence']['max_rel_diff']:.3e}, "
+          f"tol {m['equivalence']['tol']:g} absolute)")
     return 0
 
 

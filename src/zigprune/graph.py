@@ -128,11 +128,6 @@ class ComputationGraph:
         """Incoming vertices in edge-list appearance order (``preds`` keeps it)."""
         return self.preds[vid]
 
-    def trainable_param_count(self) -> int:
-        return sum(
-            vx.params.trainable_count() for vx in self.vertices.values() if vx.params is not None
-        )
-
 
 # ---------------------------------------------------------------------------
 # Construction

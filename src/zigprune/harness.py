@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .builders import BUILDERS, conv_chain
-from .compression import compress, group_flops_savings, verify_equivalence
+from .compression import (build_channel_maps, compress, group_flops_savings, make_mask,
+                          prune, verify_equivalence)
 from .datasets import (
     ClassificationData,
     GroupSparseProblem,
@@ -35,7 +36,7 @@ from .datasets import (
 )
 from .dhspg import DhspgOptimizer, OptimizerConfig
 from .engine import accuracy, backward, evaluate_loss, forward
-from .errors import ConfigError, TrainingDiverged
+from .errors import AllGroupsZeroInComponent, ConfigError, TrainingDiverged
 from .graph import count_flops_params, infer_shapes, init_params, load_graph, save_graph
 from .paramvec import ParamIndex
 from .partition import PartitionResult, partition
@@ -157,10 +158,53 @@ def evaluate_graph(g, x, y, loss: str, batch: int = 256):
     return total_loss / n, (hits / n if loss == "cross_entropy" else float("nan"))
 
 
+def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
+                   frozen_ids: list[int]):
+    """A copy of g without the given groups, to train on in g's place.
+
+    Returns (copy, channel maps, keep): keep[i] is the position in the full
+    flat vector of coordinate i of the copy's. Writes the iterate x into g,
+    so g and the copy hold it. Raises AllGroupsZeroInComponent, leaving g
+    as it was, when the groups would empty a component.
+    """
+    mask = make_mask(part, frozen_ids)
+    maps = build_channel_maps(g, part, mask)
+    # Each coordinate tagged with its flat position: pruning keeps the tags
+    # of the survivors, in the copy's layout.
+    index.scatter(g, np.arange(index.size, dtype=float))
+    try:
+        tags = prune(g, mask, maps)
+    finally:
+        index.scatter(g, x)
+    small = prune(g, mask, maps)
+    return small, maps, ParamIndex(small).gather(tags).astype(np.intp)
+
+
+def _write_back_running_stats(g, small, maps: dict[int, list[int]]) -> None:
+    """Copy the training copy's BatchNorm running statistics into g at the
+    channels the copy kept; a removed channel keeps its last value."""
+    for vid, vx in small.vertices.items():
+        if vx.params is not None and vx.params.running_mean is not None:
+            full = g.vertices[vid].params
+            full.running_mean[maps[vid]] = vx.params.running_mean
+            full.running_var[maps[vid]] = vx.params.running_var
+
+
 def train_graph(g, part: PartitionResult, data: ClassificationData,
                 cfg: ExperimentConfig, rng_batches: np.random.Generator,
                 target_groups: Optional[int] = None):
-    """Train the graph in place; returns (optimizer, per-epoch rows)."""
+    """Train the graph in place; returns (optimizer, per-epoch rows).
+
+    The optimizer owns the full flat iterate. Forward and backward run on a
+    copy of g without the optimizer's frozen groups, rebuilt at each epoch
+    boundary where the frozen set has grown (inside that epoch's timing);
+    the copy's gradient enters the full vector at ``keep`` and is zero
+    elsewhere. Frozen coordinates' gradients are never read, and the
+    consumer columns a frozen group feeds get exactly zero at full width
+    too, so the optimizer takes the same steps up to rounding. When the
+    frozen set would empty a component the copy keeps its width. Each row's
+    ``train_flops`` is the per-sample FLOPs of the graph that epoch trained.
+    """
     index = ParamIndex(g)
     group_idx = [index.group_indices(z) for z in part.zigs]
     group_comps = [z.component_id for z in part.zigs]
@@ -173,26 +217,42 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
                          steps_per_epoch=steps_per_epoch,
                          group_components=group_comps,
                          group_costs=group_flops_savings(g, part))
+    small, maps, keep = _narrowed_copy(g, part, index, opt.x, [])
+    small_index = ParamIndex(small)
+    train_flops = count_flops_params(small)[0]
+    n_frozen = 0
     rows = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
+        frozen = np.flatnonzero(opt.frozen).tolist()
+        if len(frozen) > n_frozen:
+            n_frozen = len(frozen)
+            _write_back_running_stats(g, small, maps)
+            try:
+                small, maps, keep = _narrowed_copy(g, part, index, opt.x, frozen)
+            except AllGroupsZeroInComponent:
+                pass  # train on at the current width; surgery reports it
+            else:
+                small_index = ParamIndex(small)
+                train_flops = count_flops_params(small)[0]
         running = 0.0
         seen = 0
         for idx in minibatches(n_train, cfg.batch_size, rng_batches):
-            index.scatter(g, opt.x)
-            out, cache = forward(g, data.x_train[idx], mode="train")
-            loss_val, grads = backward(g, cache, cfg.loss, data.y_train[idx])
+            out, cache = forward(small, data.x_train[idx], mode="train")
+            loss_val, grads = backward(small, cache, cfg.loss, data.y_train[idx])
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(opt.t, "loss")
-            flat_grad = index.gather_grads(grads)
-            if not np.isfinite(flat_grad).all():
+            small_grad = small_index.gather_grads(grads)
+            if not np.isfinite(small_grad).all():
                 raise TrainingDiverged(opt.t, "gradient")
+            flat_grad = np.zeros(index.size)
+            flat_grad[keep] = small_grad
             opt.step(flat_grad)
+            small_index.scatter(small, opt.x[keep])
             running += loss_val * len(idx)
             seen += len(idx)
-        index.scatter(g, opt.x)
         epoch_seconds = time.perf_counter() - t0
-        test_loss, test_acc = evaluate_graph(g, data.x_test, data.y_test, cfg.loss)
+        test_loss, test_acc = evaluate_graph(small, data.x_test, data.y_test, cfg.loss)
         stats = opt.penalty_stats()
         rows.append({
             "epoch": epoch,
@@ -203,15 +263,17 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
             "zero_groups": opt.zero_group_count(),
             "learning_rate": opt.learning_rate(),
             "penalty_mean": stats["penalty_mean"],
+            "train_flops": train_flops,
             "epoch_seconds": epoch_seconds,
         })
+    _write_back_running_stats(g, small, maps)
     index.scatter(g, opt.x)
     return opt, rows
 
 
 TRAIN_LOG_COLUMNS = ("epoch", "train_loss", "test_loss", "test_accuracy",
                      "group_sparsity", "zero_groups", "learning_rate",
-                     "penalty_mean", "epoch_seconds")
+                     "penalty_mean", "train_flops", "epoch_seconds")
 
 
 def write_training_log(path: str, rows: list[dict]) -> None:

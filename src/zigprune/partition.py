@@ -80,6 +80,10 @@ class PartitionResult:
     # per vertex: position in zigs of the group controlling each output
     # channel (-1: none); surgery reads it, to_doc leaves it out
     channel_groups: dict[int, list[int]]
+    # per (vertex, role) array: the slices of zigs on it as (owner, start,
+    # stop) arrays, owner a position in zigs; zero detection reads it,
+    # to_doc leaves it out
+    slice_table: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def groups_of_component(self, ci: int) -> list[ZeroInvariantGroup]:
         return [z for z in self.zigs if z.component_id == ci]
@@ -360,23 +364,31 @@ def form_zigs(g: ComputationGraph,
             excluded_ids.add(ci)
             reasons[ci] = "contains-unknown"
     widths = [0 if ci in excluded_ids else w for ci, w in enumerate(stem_widths)]
+    # zigs list component ci's groups in order from position first[ci]
+    first = np.cumsum(widths, dtype=np.intp) - np.asarray(widths, dtype=np.intp)
 
     groups: dict[int, list[ZeroInvariantGroup]] = {}
+    slice_table = {}
     for ci, comp in enumerate(comps):
         if widths[ci]:
             groups[ci] = [ZeroInvariantGroup([], ci, j) for j in range(widths[ci])]
+            rows = np.arange(widths[ci])
             for s in comp.stem_ids:
                 params = g.vertices[s].params
                 for j in range(widths[ci]):
                     groups[ci][j].slices.append(ParamSlice(s, "weight_row", j, j + 1))
                     if params.bias is not None:
                         groups[ci][j].slices.append(ParamSlice(s, "bias", j, j + 1))
+                slice_table[(s, "weight_row")] = (first[ci] + rows, rows, rows + 1)
+                if params.bias is not None:
+                    slice_table[(s, "bias")] = slice_table[(s, "weight_row")]
 
     # Route per-channel accessory parameters to the controlling groups. A run
     # of consecutive channels with one origin becomes a single slice (post-
     # Flatten blocks stay contiguous).
     excl_params: dict[int, int] = {ci: 0 for ci in excluded_ids}
     stray_params = 0
+    bn_runs: dict[int, list[tuple[int, int, int]]] = {}
     comp_of_vertex: dict[int, int] = {}
     for ci, comp in enumerate(comps):
         for v in comp.vertex_ids:
@@ -410,7 +422,11 @@ def form_zigs(g: ComputationGraph,
                 else:
                     groups[oc][og].slices.append(ParamSlice(vid, "gamma", start, stop))
                     groups[oc][og].slices.append(ParamSlice(vid, "beta", start, stop))
+                    bn_runs.setdefault(vid, []).append((first[oc] + og, start, stop))
             start = stop
+    for vid, runs in bn_runs.items():
+        slice_table[(vid, "gamma")] = slice_table[(vid, "beta")] = \
+            tuple(np.array(runs, dtype=np.intp).T)
 
     for ci in excluded_ids:
         for s in comps[ci].stem_ids:
@@ -431,7 +447,8 @@ def form_zigs(g: ComputationGraph,
     if stray_params:
         excluded.append(ExcludedComponent(-1, "no-producer", stray_params))
     return PartitionResult(components=comps, zigs=zigs, excluded=excluded,
-                           widths=widths, channel_groups=channel_groups)
+                           widths=widths, channel_groups=channel_groups,
+                           slice_table=slice_table)
 
 
 def partition(g: ComputationGraph) -> PartitionResult:

@@ -70,6 +70,7 @@ def test_train_compress_eval_report_cycle(exp_file, tmp_path, capsys):
     assert main(["report", run_dir]) == 0
     out = capsys.readouterr().out
     assert "FLOPs" in out and "equivalence" in out
+    assert "trained narrowed from epoch" in out and "relative" in out
 
 
 def test_ablate_command(tmp_path, capsys):

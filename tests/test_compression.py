@@ -222,7 +222,7 @@ def test_equivalence_empty_mask_exact_zero_diff():
     part = partition(g)
     small, _ = compress(g, part)
     report = verify_equivalence(g, small, n_trials=3, rng=np.random.default_rng(1))
-    assert report["max_abs_diff"] == 0.0
+    assert report["max_abs_diff"] == report["max_rel_diff"] == 0.0
 
 
 def test_equivalence_negative_control():
@@ -233,6 +233,24 @@ def test_equivalence_negative_control():
     small.vertices[13].params.weight[0, 0] += 1.0
     report = verify_equivalence(g, small, n_trials=3, rng=np.random.default_rng(1))
     assert not report["passed"]
+
+
+def test_equivalence_relative_diff_divides_by_output_scale():
+    g = randomized(demo_net(seed=8), np.random.default_rng(9))
+    part = partition(g)
+    zero_group(g, part.zigs[0])
+    small, _ = compress(g, part)
+    small.vertices[13].params.weight[0, 0] += 1e-3
+    report = verify_equivalence(g, small, n_trials=3, rng=np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    want = 0.0
+    for _ in range(3):
+        x = rng.normal(size=(2, *g.input_shapes[0][1:]))
+        y_full = forward(g, x, mode="eval")[0]
+        diff = np.abs(y_full - forward(small, x, mode="eval")[0]).max()
+        want = max(want, diff / np.abs(y_full).max())
+    assert report["max_rel_diff"] == want > 0
+    assert report["max_rel_diff"] < report["max_abs_diff"]
 
 
 def test_monotone_reduction():

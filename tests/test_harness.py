@@ -53,6 +53,14 @@ def test_pipeline_artifacts_and_gate(tmp_path):
     with open(os.path.join(cfg.output_dir, "metrics.json"), encoding="utf-8") as fh:
         written = json.load(fh)
     assert (written["zero_groups"], written["target_met"]) == (16, True)
+    # each epoch row records the FLOPs it trained at: full width until
+    # groups freeze, then never rising
+    flops = [row["train_flops"] for row in written["epochs"]]
+    assert flops[0] == m["flops_full"] > flops[-1] >= m["flops_compressed"]
+    assert all(b <= a for a, b in zip(flops, flops[1:]))
+    with open(os.path.join(cfg.output_dir, "training_log.csv"), newline="",
+              encoding="utf-8") as fh:
+        assert [int(r["train_flops"]) for r in csv.DictReader(fh)] == flops
 
 
 def test_missed_target_fails_the_run(tmp_path):

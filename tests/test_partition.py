@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from zigprune.builders import conv_chain, demo_net, residual_block_net, stacked_unets_mini
+from zigprune.builders import (conv_chain, demo_net, random_small_dag, residual_block_net,
+                               stacked_unets_mini)
 from zigprune.compression import compress, make_mask, verify_equivalence
 from zigprune.engine import forward
 from zigprune.errors import InconsistentStemWidths
 from zigprune.graph import build_graph, graph_to_doc, infer_shapes, init_params
+from zigprune.paramvec import ParamIndex
 from zigprune.partition import (
     DependencyComponent,
     ParamSlice,
@@ -229,11 +231,26 @@ def test_stacked_unets_concat_split_and_arm_coupling():
                    for z in first_groups for s in z.slices)
 
 
+def test_slice_table_lists_every_group_slice():
+    rng = np.random.default_rng(4)
+    graphs = [make() for make in (demo_net, residual_block_net, stacked_unets_mini)]
+    graphs += [random_small_dag(rng) for _ in range(100)]
+    for g in graphs:
+        part = partition(g)
+        want = {}
+        for i, z in enumerate(part.zigs):
+            for s in z.slices:
+                want.setdefault((s.vertex_id, s.role), []).append((i, s.start, s.stop))
+        got = {key: sorted(zip(*(a.tolist() for a in table)))
+               for key, table in part.slice_table.items()}
+        assert got == {key: sorted(rows) for key, rows in want.items()}
+
+
 def test_coverage_partition_accounts_every_parameter():
     for make in (demo_net, residual_block_net, stacked_unets_mini):
         g = make()
         part = partition(g)
-        total = g.trainable_param_count()
+        total = ParamIndex(g).size
         in_groups = sum(
             sum((s.stop - s.start) * (g.vertices[s.vertex_id].params.weight.shape[1]
                                       if s.role == "weight_row" else 1)
