@@ -205,6 +205,10 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
     frozen set would empty a component the copy keeps its width. Each row's
     ``train_flops`` is the per-sample FLOPs of the graph that epoch trained.
     """
+    if len(g.input_shapes) != 1:
+        raise ConfigError(
+            f"graph takes {len(g.input_shapes)} inputs but the dataset holds 1 "
+            "input array; only single-input graphs can be trained")
     index = ParamIndex(g)
     group_idx = [index.group_indices(z) for z in part.zigs]
     group_comps = [z.component_id for z in part.zigs]

@@ -74,22 +74,24 @@ def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """Patches as one (N*Ho*Wo, C*k*k) matrix so the conv is a single GEMM."""
+    """Patches as (N, C*k*k, Ho*Wo) columns, so ``weight @ cols`` is the conv
+    output already in NCHW order. Row c*k*k + i*k + j of image n holds input
+    channel c at kernel offset (i, j) for every output pixel, Wo innermost."""
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     ho, wo = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * ho * wo, c * k * k), ho, wo
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(n, c * k * k, ho * wo), ho, wo
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, ho: int, wo: int):
-    """Scatter-add (N*Ho*Wo, C*k*k) patch gradients back onto the input."""
+    """Scatter-add (N, C*k*k, Ho*Wo) column gradients back onto the input:
+    one strided (N, C, Ho, Wo) slice per kernel offset."""
     n, c, h, w = x_shape
     dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    d = np.ascontiguousarray(
-        dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2))
+    d = dcols.reshape(n, c, k, k, ho, wo)
     for i in range(k):
         for j in range(k):
             dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += d[:, :, i, j]
@@ -228,23 +230,20 @@ class Conv2d(OpKind):
         if key not in memo:
             memo[key] = _im2col(x, self.kernel, self.stride, self.padding)
         cols, ho, wo = memo[key]
-        out = cols @ params.weight.T
+        out = params.weight @ cols
         if params.bias is not None:
-            out += params.bias
-        out = np.ascontiguousarray(
-            out.reshape(x.shape[0], ho, wo, self.out_channels).transpose(0, 3, 1, 2))
+            out += params.bias[:, None]
+        out = out.reshape(x.shape[0], self.out_channels, ho, wo)
         return out, {"cols": cols, "x_shape": x.shape, "ho": ho, "wo": wo}
 
     def backward(self, params, cache, dout, grads, need_dx=True):
-        dflat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(
-            -1, self.out_channels)
-        grads["weight"] += dflat.T @ cache["cols"]
+        d3 = dout.reshape(dout.shape[0], self.out_channels, -1)
+        grads["weight"] += (d3 @ cache["cols"].transpose(0, 2, 1)).sum(axis=0)
         if params.bias is not None:
-            grads["bias"] += dflat.sum(axis=0)
+            grads["bias"] += d3.sum(axis=(0, 2))
         if not need_dx:
             return None
-        dcols = dflat @ params.weight
-        dx = _col2im(dcols, cache["x_shape"], self.kernel, self.stride,
+        dx = _col2im(params.weight.T @ d3, cache["x_shape"], self.kernel, self.stride,
                      self.padding, cache["ho"], cache["wo"])
         return [dx]
 
@@ -527,8 +526,8 @@ class Add(_Elementwise):
     op = "add"
 
     def forward(self, params, xs, mode, src=None, cols_memo=None):
-        out = xs[0].copy()
-        for x in xs[1:]:
+        out = xs[0] + xs[1]
+        for x in xs[2:]:
             out += x
         return out, {"n": len(xs)}
 

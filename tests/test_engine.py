@@ -5,6 +5,7 @@ from zigprune.builders import BUILDERS, demo_net
 from zigprune.engine import accuracy, backward, evaluate_loss, forward
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
+from zigprune.ops import Add
 from zigprune.paramvec import ParamIndex
 
 
@@ -30,9 +31,26 @@ def loop_conv2d(x, weight, bias, k, stride, pad):
     return out
 
 
-def conv_graph(k=3, stride=1, pad=1, cin=2, cout=3, size=4, has_bias=True, seed=0):
+def loop_conv2d_grads(x, weight, dout, k, stride, pad):
+    """Weight, bias and input gradients of loop_conv2d for output gradient
+    dout, one scalar product at a time; the trusted reference."""
+    n, cin, h, w = x.shape
+    _, cout, ho, wo = dout.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    w4 = weight.reshape(cout, cin, k, k)
+    dw = np.zeros_like(w4)
+    dxp = np.zeros_like(xp)
+    for b, f, i, j, c, u, v in np.ndindex(n, cout, ho, wo, cin, k, k):
+        r, s = i * stride + u, j * stride + v
+        dw[f, c, u, v] += dout[b, f, i, j] * xp[b, c, r, s]
+        dxp[b, c, r, s] += dout[b, f, i, j] * w4[f, c, u, v]
+    db = np.array([dout[:, f].sum() for f in range(cout)])
+    return dw.reshape(cout, -1), db, dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def conv_graph(k=3, stride=1, pad=1, cin=2, cout=3, hw=(4, 4), has_bias=True, seed=0):
     doc = {
-        "input_shapes": [[1, cin, size, size]],
+        "input_shapes": [[1, cin, *hw]],
         "vertices": [{"id": 0, "op": "conv2d", "kernel": k, "stride": stride,
                       "padding": pad, "in_channels": cin, "out_channels": cout,
                       "has_bias": has_bias}],
@@ -43,15 +61,57 @@ def conv_graph(k=3, stride=1, pad=1, cin=2, cout=3, size=4, has_bias=True, seed=
     return g
 
 
-@pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 0), (1, 1, 0), (2, 2, 1)])
+CONV_GEOMETRIES = [(3, 1, 1), (3, 2, 0), (1, 1, 0), (2, 2, 1), (5, 1, 2), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("k,stride,pad", CONV_GEOMETRIES)
 def test_conv_forward_matches_loop_oracle(k, stride, pad):
     rng = np.random.default_rng(42)
-    g = conv_graph(k=k, stride=stride, pad=pad, seed=5)
-    x = rng.normal(size=(3, 2, 4, 4))
-    got, _ = forward(g, x, mode="eval")
-    p = g.vertices[0].params
-    want = loop_conv2d(x, p.weight, p.bias, k, stride, pad)
-    assert np.abs(got - want).max() < 1e-12
+    for hw in ((4, 4), (5, 8)):
+        g = conv_graph(k=k, stride=stride, pad=pad, hw=hw, seed=5)
+        x = rng.normal(size=(3, 2, *hw))
+        got, _ = forward(g, x, mode="eval")
+        p = g.vertices[0].params
+        want = loop_conv2d(x, p.weight, p.bias, k, stride, pad)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("k,stride,pad", CONV_GEOMETRIES)
+def test_conv_gradients_match_loop_oracle(k, stride, pad):
+    """Non-square input, cin != cout; (5, 8) leaves a stride remainder."""
+    rng = np.random.default_rng(43)
+    g = conv_graph(k=k, stride=stride, pad=pad, cin=2, cout=3, hw=(5, 8), seed=6)
+    vx = g.vertices[0]
+    x = rng.normal(size=(2, 2, 5, 8))
+    out, cache = vx.kind.forward(vx.params, [x], "train")
+    dout = rng.normal(size=out.shape)
+    want_dw, want_db, want_dx = loop_conv2d_grads(x, vx.params.weight, dout, k, stride, pad)
+    for need_dx in (True, False):
+        grads = {"weight": np.zeros_like(vx.params.weight),
+                 "bias": np.zeros_like(vx.params.bias)}
+        dins = vx.kind.backward(vx.params, cache, dout, grads, need_dx=need_dx)
+        assert np.abs(grads["weight"] - want_dw).max() < 1e-12
+        assert np.abs(grads["bias"] - want_db).max() < 1e-12
+        if need_dx:
+            dx, = dins
+            assert dx.shape == x.shape
+            assert np.abs(dx - want_dx).max() < 1e-12
+        else:
+            assert dins is None
+
+
+@pytest.mark.parametrize("n_inputs", [2, 3])
+def test_add_forward_is_bit_identical_to_copy_then_add(n_inputs):
+    rng = np.random.default_rng(44)
+    xs = [rng.normal(size=(3, 4, 5, 6)) for _ in range(n_inputs)]
+    before = [x.copy() for x in xs]
+    want = xs[0].copy()
+    for x in xs[1:]:
+        want += x
+    got, _ = Add().forward(None, xs, "train")
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(x, b) for x, b in zip(xs, before))
 
 
 def test_bn_identity_passthrough_in_eval():

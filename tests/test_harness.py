@@ -152,6 +152,15 @@ def test_regression_dataset_not_trainable_by_pipeline(tmp_path):
         run_pipeline(cfg)
 
 
+def test_multi_input_graph_rejected_before_training(tmp_path):
+    cfg = small_cfg(tmp_path, "two_inputs", graph={"builder": "stacked_unets_mini"},
+                    dataset={"kind": "synthetic-classification", "n_train": 64,
+                             "n_test": 16}, epochs=1)
+    with pytest.raises(ConfigError, match="graph takes 2 inputs but the dataset holds 1"):
+        run_pipeline(cfg)
+    assert not os.path.exists(os.path.join(cfg.output_dir, "training_log.csv"))
+
+
 def test_ablation_contrast():
     problem = GroupSparseProblem(n_samples=300, n_groups=8, group_size=4,
                                  support_size=3, noise=0.01)
