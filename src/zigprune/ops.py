@@ -540,8 +540,8 @@ class Mul(_Elementwise):
     op = "mul"
 
     def forward(self, params, xs, mode, src=None, cols_memo=None):
-        out = xs[0].copy()
-        for x in xs[1:]:
+        out = xs[0] * xs[1]
+        for x in xs[2:]:
             out *= x
         return out, {"xs": xs}
 

@@ -1,3 +1,6 @@
+import platform
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from zigprune.builders import BUILDERS, demo_net
 from zigprune.engine import accuracy, backward, evaluate_loss, forward
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
-from zigprune.ops import Add
+from zigprune.ops import Add, Mul
 from zigprune.paramvec import ParamIndex
 
 
@@ -112,6 +115,51 @@ def test_add_forward_is_bit_identical_to_copy_then_add(n_inputs):
     got, _ = Add().forward(None, xs, "train")
     assert np.array_equal(got, want)
     assert all(np.array_equal(x, b) for x, b in zip(xs, before))
+
+
+@pytest.mark.parametrize("n_inputs", [2, 3])
+def test_mul_forward_is_bit_identical_to_copy_then_mul(n_inputs):
+    rng = np.random.default_rng(45)
+    xs = [rng.normal(size=(3, 4, 5, 6)) for _ in range(n_inputs)]
+    before = [x.copy() for x in xs]
+    want = xs[0].copy()
+    for x in xs[1:]:
+        want *= x
+    got, _ = Mul().forward(None, xs, "train")
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(x, b) for x, b in zip(xs, before))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the heap settings are glibc's")
+def test_repeated_passes_take_no_page_faults():
+    # Importing the engine keeps freed buffers in the heap, so once the
+    # heap has grown to a pass's peak, later passes reuse its pages.
+    import resource
+
+    g = demo_net(seed=9)
+    rng = np.random.default_rng(46)
+    x_eval = rng.normal(size=(256, 3, 16, 16))
+    x_train = rng.normal(size=(128, 3, 16, 16))
+    y_train = rng.integers(0, 10, size=128)
+
+    def train_step():
+        _, cache = forward(g, x_train, mode="train")
+        backward(g, cache, "cross_entropy", y_train)
+
+    # warm-up: the heap grows to the train step's peak, then an eval pass
+    # settles where its buffers sit in it
+    train_step()
+    for _ in range(2):
+        forward(g, x_eval, mode="eval")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        forward(g, x_eval, mode="eval")
+    for _ in range(5):
+        train_step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500, f"{faults} minor page faults in 10 eval and 5 train passes"
 
 
 def test_bn_identity_passthrough_in_eval():
