@@ -19,13 +19,14 @@ import json
 import os
 import sys
 
-from .compression import compress, verify_equivalence
+from .compression import verify_equivalence
 from .datasets import GroupSparseProblem
 from .errors import ZigpruneError
-from .graph import export_dot, infer_shapes, load_graph, save_graph
+from .graph import export_dot, infer_shapes, load_graph
 from .harness import (
     ExperimentConfig,
     build_dataset,
+    compress_and_verify,
     evaluate_graph,
     rng_streams,
     run_ablation_dhspg_vs_hspg,
@@ -67,15 +68,7 @@ def cmd_train(args) -> int:
 def cmd_compress(args) -> int:
     cfg = _load_run_config(args.run_dir)
     g = infer_shapes(load_graph(os.path.join(args.run_dir, "graph_full.json")))
-    part = partition(g)
-    small, mask = compress(g, part)
-    save_graph(small, os.path.join(args.run_dir, "graph_compressed.json"))
-    equiv = verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
-                               tol=cfg.equivalence_tol,
-                               rng=rng_streams(cfg.seed)["equivalence"])
-    with open(os.path.join(args.run_dir, "equivalence.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(equiv, fh, indent=1)
+    _, mask, _, equiv = compress_and_verify(g, partition(g), cfg, args.run_dir)
     print(f"removed {mask.zero_group_count()} groups; "
           f"max |diff| = {equiv['max_abs_diff']:.3e}")
     return 0 if equiv["passed"] else 1

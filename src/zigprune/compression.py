@@ -41,19 +41,22 @@ class PruneMask:
 def detect_zero_groups(g: ComputationGraph, part: PartitionResult) -> PruneMask:
     """Flag groups whose every slice is exactly zero.
 
-    Each array of ``part.slice_table`` has its row-nonzero flags
-    prefix-summed once, so a slice [start, stop) is nonzero when the sum
-    rises across it; the slices' answers are or-ed into their groups.
+    Row k of every trainable array of a vertex belongs to group
+    ``part.channel_groups[vid][k]``; each row's nonzero flag is or-ed into
+    its owner's, and rows no group owns (-1) land in a spare last slot.
 
     Raises AllGroupsZeroInComponent when a component would lose all groups;
     a zero-width operator cannot be constructed.
     """
-    nonzero = np.zeros(len(part.zigs), dtype=bool)
-    for (vid, role), (owner, start, stop) in part.slice_table.items():
-        arr = getattr(g.vertices[vid].params, "weight" if role == "weight_row" else role)
-        seen = np.concatenate(([0], np.cumsum(arr.reshape(len(arr), -1).any(axis=1))))
-        np.logical_or.at(nonzero, owner, seen[stop] > seen[start])
-    return make_mask(part, np.flatnonzero(~nonzero).tolist())
+    nonzero = np.zeros(len(part.zigs) + 1, dtype=bool)
+    for vid, owners in part.channel_groups.items():
+        params = g.vertices[vid].params
+        if params is None:
+            continue
+        owners = np.asarray(owners, dtype=np.intp)
+        for _, arr in params.trainable_items():
+            nonzero[owners[arr.reshape(len(arr), -1).any(axis=1)]] = True
+    return make_mask(part, np.flatnonzero(~nonzero[:-1]).tolist())
 
 
 def make_mask(part: PartitionResult, zero_group_ids: list[int]) -> PruneMask:

@@ -303,6 +303,34 @@ def _write_json(path: str, doc) -> None:
         json.dump(doc, fh, indent=1)
 
 
+def compress_and_verify(g, part: PartitionResult, cfg: ExperimentConfig, output_dir: str):
+    """Cut g's zero groups and check the cut against g.
+
+    Writes graph_compressed.json, compression.json and equivalence.json
+    into output_dir. Returns (compressed graph, mask, the compression.json
+    document, the equivalence.json document).
+    """
+    flops_full, params_full = count_flops_params(g)
+    small, mask = compress(g, part)
+    save_graph(small, os.path.join(output_dir, "graph_compressed.json"))
+    flops_small, params_small = count_flops_params(small)
+    removed = {
+        str(ci): part.widths[ci] - len(mask.survivors.get(ci, []))
+        for ci in range(len(part.widths)) if part.widths[ci]
+    }
+    sizes = {
+        "removed_groups_per_component": removed,
+        "flops_full": flops_full, "params_full": params_full,
+        "flops_compressed": flops_small, "params_compressed": params_small,
+    }
+    _write_json(os.path.join(output_dir, "compression.json"), sizes)
+    equiv = verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
+                               tol=cfg.equivalence_tol,
+                               rng=rng_streams(cfg.seed)["equivalence"])
+    _write_json(os.path.join(output_dir, "equivalence.json"), equiv)
+    return small, mask, sizes, equiv
+
+
 def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     """Partition, train once, compress, verify, report.
 
@@ -331,24 +359,9 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     write_training_log(os.path.join(cfg.output_dir, "training_log.csv"), rows)
     save_graph(g, os.path.join(cfg.output_dir, "graph_full.json"))
 
-    flops_full, params_full = count_flops_params(g)
-    small, mask = compress(g, part)
-    save_graph(small, os.path.join(cfg.output_dir, "graph_compressed.json"))
-    flops_small, params_small = count_flops_params(small)
-    removed = {
-        str(ci): part.widths[ci] - len(mask.survivors.get(ci, []))
-        for ci in range(len(part.widths)) if part.widths[ci]
-    }
-    _write_json(os.path.join(cfg.output_dir, "compression.json"), {
-        "removed_groups_per_component": removed,
-        "flops_full": flops_full, "params_full": params_full,
-        "flops_compressed": flops_small, "params_compressed": params_small,
-    })
-
-    equiv = verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
-                               tol=cfg.equivalence_tol,
-                               rng=streams["equivalence"])
-    _write_json(os.path.join(cfg.output_dir, "equivalence.json"), equiv)
+    small, mask, sizes, equiv = compress_and_verify(g, part, cfg, cfg.output_dir)
+    flops_full, params_full = sizes["flops_full"], sizes["params_full"]
+    flops_small, params_small = sizes["flops_compressed"], sizes["params_compressed"]
 
     zero_groups = mask.zero_group_count()
     target_met = zero_groups >= target
@@ -399,10 +412,6 @@ def train_regression(data: RegressionData, opt_cfg: OptimizerConfig,
     return opt
 
 
-def zero_groups_of(opt: DhspgOptimizer) -> list[int]:
-    return opt.zero_group_ids()
-
-
 def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,
                                lambda_sweep: list[float],
                                target_zero_groups: int,
@@ -419,7 +428,7 @@ def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,
     cfg = dataclasses.replace(base, mode="dhspg",
                               target_zero_groups=target_zero_groups)
     opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
-    zeros = zero_groups_of(opt)
+    zeros = opt.zero_group_ids()
     rows.append({
         "method": "dhspg", "setting": f"K={target_zero_groups}",
         "zero_groups": len(zeros), "zero_group_ids": zeros,
@@ -430,7 +439,7 @@ def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,
     for lam in lambda_sweep:
         cfg = dataclasses.replace(base, mode="hspg", global_penalty=float(lam))
         opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
-        zeros = zero_groups_of(opt)
+        zeros = opt.zero_group_ids()
         rows.append({
             "method": "hspg", "setting": f"lambda={lam:g}",
             "zero_groups": len(zeros), "zero_group_ids": zeros,

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import InconsistentStemWidths, PartitionError
 from .graph import (
     ACCESSORY,
-    BatchNorm,
     ComputationGraph,
     Flatten,
     OUTPUT,
@@ -78,12 +77,9 @@ class PartitionResult:
     excluded: list[ExcludedComponent]
     widths: list[int]  # groups per component (0 for stemless / excluded)
     # per vertex: position in zigs of the group controlling each output
-    # channel (-1: none); surgery reads it, to_doc leaves it out
-    channel_groups: dict[int, list[int]]
-    # per (vertex, role) array: the slices of zigs on it as (owner, start,
-    # stop) arrays, owner a position in zigs; zero detection reads it,
+    # channel (-1: none); grouping, zero detection and surgery read it,
     # to_doc leaves it out
-    slice_table: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    channel_groups: dict[int, list[int]]
 
     def groups_of_component(self, ci: int) -> list[ZeroInvariantGroup]:
         return [z for z in self.zigs if z.component_id == ci]
@@ -259,9 +255,10 @@ def _channel_origins(g: ComputationGraph,
                      comps: list[DependencyComponent]) -> dict[int, list]:
     """Per vertex: which (component, group) produced each output channel.
 
-    This is the one walk of channel provenance: grouping routes accessory
-    slices and output/unknown exclusions by it, and surgery keeps a channel
-    unless its group is zero (via ``PartitionResult.channel_groups``).
+    This is the one walk of channel provenance: output/unknown exclusions
+    follow it, and so does ``PartitionResult.channel_groups``, from which
+    grouping assigns parameter rows, zero detection reads them and surgery
+    keeps a channel unless its group is zero.
     After a Flatten, entries are per flat feature (each channel repeated
     height*width times). None marks a channel no stem controls (raw input,
     unknown op output).
@@ -354,101 +351,57 @@ def form_zigs(g: ComputationGraph,
                 else:
                     comps[origin[0]].contains_unknown = True
 
-    excluded_ids: set[int] = set()
-    reasons: dict[int, str] = {}
+    exclusions: dict[int, str] = {}  # excluded component -> reason
     for ci, comp in enumerate(comps):
         if comp.adjacent_to_output:
-            excluded_ids.add(ci)
-            reasons[ci] = "output-adjacent"
+            exclusions[ci] = "output-adjacent"
         elif comp.contains_unknown:
-            excluded_ids.add(ci)
-            reasons[ci] = "contains-unknown"
-    widths = [0 if ci in excluded_ids else w for ci, w in enumerate(stem_widths)]
-    # zigs list component ci's groups in order from position first[ci]
-    first = np.cumsum(widths, dtype=np.intp) - np.asarray(widths, dtype=np.intp)
-
-    groups: dict[int, list[ZeroInvariantGroup]] = {}
-    slice_table = {}
-    for ci, comp in enumerate(comps):
-        if widths[ci]:
-            groups[ci] = [ZeroInvariantGroup([], ci, j) for j in range(widths[ci])]
-            rows = np.arange(widths[ci])
-            for s in comp.stem_ids:
-                params = g.vertices[s].params
-                for j in range(widths[ci]):
-                    groups[ci][j].slices.append(ParamSlice(s, "weight_row", j, j + 1))
-                    if params.bias is not None:
-                        groups[ci][j].slices.append(ParamSlice(s, "bias", j, j + 1))
-                slice_table[(s, "weight_row")] = (first[ci] + rows, rows, rows + 1)
-                if params.bias is not None:
-                    slice_table[(s, "bias")] = slice_table[(s, "weight_row")]
-
-    # Route per-channel accessory parameters to the controlling groups. A run
-    # of consecutive channels with one origin becomes a single slice (post-
-    # Flatten blocks stay contiguous).
-    excl_params: dict[int, int] = {ci: 0 for ci in excluded_ids}
-    stray_params = 0
-    bn_runs: dict[int, list[tuple[int, int, int]]] = {}
-    comp_of_vertex: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for v in comp.vertex_ids:
-            comp_of_vertex[v] = ci
-    for vid in g.topo_order:
-        vx = g.vertices[vid]
-        if not isinstance(vx.kind, BatchNorm):
-            continue
-        ci = comp_of_vertex.get(vid)
-        if ci in excluded_ids:
-            excl_params[ci] += vx.params.trainable_count()
-            continue
-        chan_origin = origins[g.preds[vid][0]] if g.preds[vid] else \
-            [None] * vx.kind.channels
-        if vid in g.input_binding:
-            chan_origin = [None] * vx.kind.channels
-        start = 0
-        n = len(chan_origin)
-        while start < n:
-            stop = start
-            while stop < n and chan_origin[stop] == chan_origin[start]:
-                stop += 1
-            origin = chan_origin[start]
-            run = stop - start
-            if origin is None:
-                stray_params += 2 * run
-            else:
-                oc, og = origin
-                if oc in excluded_ids:
-                    excl_params[oc] += 2 * run
-                else:
-                    groups[oc][og].slices.append(ParamSlice(vid, "gamma", start, stop))
-                    groups[oc][og].slices.append(ParamSlice(vid, "beta", start, stop))
-                    bn_runs.setdefault(vid, []).append((first[oc] + og, start, stop))
-            start = stop
-    for vid, runs in bn_runs.items():
-        slice_table[(vid, "gamma")] = slice_table[(vid, "beta")] = \
-            tuple(np.array(runs, dtype=np.intp).T)
-
-    for ci in excluded_ids:
-        for s in comps[ci].stem_ids:
-            excl_params[ci] += g.vertices[s].params.trainable_count()
-
-    zigs: list[ZeroInvariantGroup] = []
-    for ci in sorted(groups):
-        for z in groups[ci]:
-            z.slices.sort(key=lambda s: (topo_index[s.vertex_id],
-                                         ROLE_ORDER[s.role], s.start))
-            zigs.append(z)
+            exclusions[ci] = "contains-unknown"
+    widths = [0 if ci in exclusions else w for ci, w in enumerate(stem_widths)]
+    zigs = [ZeroInvariantGroup([], ci, j) for ci, w in enumerate(widths) for j in range(w)]
     position = {(z.component_id, z.group_index): i for i, z in enumerate(zigs)}
     channel_groups = {vid: [position.get(o, -1) for o in orig]
                       for vid, orig in origins.items()}
 
-    excluded = [ExcludedComponent(ci, reasons[ci], excl_params[ci])
-                for ci in sorted(excluded_ids)]
+    # Every trainable array has one row per output channel, so row k of a
+    # vertex belongs to group channel_groups[vid][k]. A run of rows with one
+    # owner becomes a single slice (post-Flatten blocks stay contiguous).
+    comp_of_vertex = {v: ci for ci, comp in enumerate(comps) for v in comp.vertex_ids}
+    excl_params = {ci: 0 for ci in exclusions}
+    stray_params = 0
+    for vid in g.topo_order:
+        params = g.vertices[vid].params
+        if params is None:
+            continue
+        ci = comp_of_vertex.get(vid)
+        if ci in exclusions:
+            excl_params[ci] += params.trainable_count()
+            continue
+        roles = ["weight_row" if role == "weight" else role
+                 for role, _ in params.trainable_items()]
+        row_size = sum(arr[0].size for _, arr in params.trainable_items())
+        owners = channel_groups[vid]
+        owner_arr = np.asarray(owners, dtype=np.intp)
+        for k in np.flatnonzero(owner_arr < 0).tolist():
+            origin = origins[vid][k]
+            if origin is None:
+                stray_params += row_size
+            else:
+                excl_params[origin[0]] += row_size
+        bounds = (np.flatnonzero(np.diff(owner_arr)) + 1).tolist()
+        for start, stop in zip([0] + bounds, bounds + [len(owners)]):
+            if owners[start] >= 0:
+                zigs[owners[start]].slices += [ParamSlice(vid, role, start, stop)
+                                               for role in roles]
+
+    for z in zigs:
+        z.slices.sort(key=lambda s: (topo_index[s.vertex_id], ROLE_ORDER[s.role], s.start))
+    excluded = [ExcludedComponent(ci, exclusions[ci], excl_params[ci])
+                for ci in sorted(exclusions)]
     if stray_params:
         excluded.append(ExcludedComponent(-1, "no-producer", stray_params))
     return PartitionResult(components=comps, zigs=zigs, excluded=excluded,
-                           widths=widths, channel_groups=channel_groups,
-                           slice_table=slice_table)
+                           widths=widths, channel_groups=channel_groups)
 
 
 def partition(g: ComputationGraph) -> PartitionResult:

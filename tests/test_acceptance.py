@@ -23,7 +23,6 @@ from zigprune.harness import (
     run_runtime_bench,
     time_partition,
     train_regression,
-    zero_groups_of,
 )
 from zigprune.partition import ParamSlice, partition, zero_group
 from zigprune.probes import default_probe, run_lemma_probes
@@ -132,7 +131,7 @@ def test_criterion_4_oracle_recovery():
         problem = GroupSparseProblem(n_samples=500, n_groups=10, group_size=5,
                                      support_size=support_size, noise=0.01)
         data, opt = train_reg(problem, k, seed=0)
-        zeros = zero_groups_of(opt)
+        zeros = opt.zero_group_ids()
         support = sorted(set(range(problem.n_groups)) - set(zeros))
         assert support == data.support, (support_size, k)
         obj = data.objective(opt.x)

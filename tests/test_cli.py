@@ -1,11 +1,14 @@
 import json
 import os
+import shutil
 
 import pytest
 
 from zigprune.builders import demo_net
 from zigprune.cli import main
-from zigprune.graph import save_graph
+from zigprune.compression import detect_zero_groups
+from zigprune.graph import infer_shapes, load_graph, save_graph
+from zigprune.partition import partition, zero_group
 
 
 @pytest.fixture()
@@ -15,8 +18,10 @@ def graph_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def exp_file(tmp_path):
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A run directory written by ``zigprune train``, and its exit code."""
+    tmp_path = tmp_path_factory.mktemp("cli")
     doc = {
         "graph": {"builder": "demo_net"},
         "dataset": {"kind": "synthetic-classification",
@@ -33,7 +38,8 @@ def exp_file(tmp_path):
     }
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path)
+    code = main(["train", str(path)])
+    return str(tmp_path / "run"), code
 
 
 def test_partition_command(graph_file, tmp_path, capsys):
@@ -58,11 +64,12 @@ def test_viz_with_partition_file(graph_file, tmp_path, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
-def test_train_compress_eval_report_cycle(exp_file, tmp_path, capsys):
-    assert main(["train", exp_file]) == 0
+def test_train_compress_eval_report_cycle(trained_run, tmp_path, capsys):
+    src, code = trained_run
+    assert code == 0
     run_dir = str(tmp_path / "run")
+    shutil.copytree(src, run_dir)
     assert os.path.exists(os.path.join(run_dir, "metrics.json"))
-    capsys.readouterr()
 
     assert main(["compress", run_dir]) == 0
     assert main(["eval", run_dir]) == 0
@@ -71,6 +78,28 @@ def test_train_compress_eval_report_cycle(exp_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FLOPs" in out and "equivalence" in out
     assert "trained narrowed from epoch" in out and "relative" in out
+
+
+def test_compress_rewrites_compression_record(trained_run, tmp_path):
+    # zero one more surviving group by hand: compress must count it removed
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run[0], run_dir)
+    full_path = os.path.join(run_dir, "graph_full.json")
+    g = infer_shapes(load_graph(full_path))
+    part = partition(g)
+    survivors = detect_zero_groups(g, part).survivors
+    ci = next(ci for ci, kept in survivors.items() if len(kept) >= 2)
+    zero_group(g, next(z for z in part.zigs
+                        if z.component_id == ci and z.group_index == survivors[ci][0]))
+    save_graph(g, full_path)
+    record = os.path.join(run_dir, "compression.json")
+    with open(record, encoding="utf-8") as fh:
+        before = json.load(fh)["removed_groups_per_component"]
+
+    assert main(["compress", run_dir]) == 0
+    with open(record, encoding="utf-8") as fh:
+        after = json.load(fh)["removed_groups_per_component"]
+    assert after == {**before, str(ci): before[str(ci)] + 1}
 
 
 def test_ablate_command(tmp_path, capsys):

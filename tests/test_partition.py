@@ -10,6 +10,7 @@ from zigprune.graph import build_graph, graph_to_doc, infer_shapes, init_params
 from zigprune.paramvec import ParamIndex
 from zigprune.partition import (
     DependencyComponent,
+    ExcludedComponent,
     ParamSlice,
     form_zigs,
     grow_components,
@@ -19,6 +20,89 @@ from zigprune.partition import (
     slice_view,
     zero_group,
 )
+
+
+# Hand-written graphs. Stems whose channels reach the output or an unknown op
+# through a concat, where growth stops; an unknown op seeding its own
+# component; a BatchNorm on the graph input (no stem controls its channels),
+# feeding a conv or the output; a BatchNorm after a concat whose first half
+# comes from a conv that also feeds an unknown op.
+CONCAT_TO_OUTPUT = {
+    "input_shapes": [[1, 4]],
+    "vertices": [
+        {"id": 0, "op": "linear", "in_features": 4, "out_features": 3},
+        {"id": 1, "op": "linear", "in_features": 4, "out_features": 3},
+        {"id": 2, "op": "concat"},
+        {"id": 3, "op": "output"},
+    ],
+    "edges": [[0, 2], [1, 2], [2, 3]],
+}
+
+CONCAT_TO_UNKNOWN = {
+    "input_shapes": [[1, 2, 4, 4]],
+    "vertices": [
+        {"id": 0, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 2, "out_channels": 3},
+        {"id": 1, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 2, "out_channels": 3},
+        {"id": 2, "op": "concat"},
+        {"id": 3, "op": "unknown", "opname": "mystery"},
+        {"id": 4, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 6, "out_channels": 2},
+        {"id": 5, "op": "output"},
+    ],
+    "edges": [[0, 2], [1, 2], [2, 3], [3, 4], [4, 5]],
+}
+
+CONV_TO_UNKNOWN = {
+    "input_shapes": [[1, 2, 4, 4]],
+    "vertices": [
+        {"id": 0, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 2, "out_channels": 4},
+        {"id": 1, "op": "unknown", "opname": "mystery"},
+    ],
+    "edges": [[0, 1]],
+}
+
+INPUT_BN_TO_CONV = {
+    "input_shapes": [[1, 3, 4, 4]],
+    "vertices": [
+        {"id": 0, "op": "batch_norm", "channels": 3},
+        {"id": 1, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 3, "out_channels": 2},
+        {"id": 2, "op": "output"},
+    ],
+    "edges": [[0, 1], [1, 2]],
+}
+
+INPUT_BN_TO_OUTPUT = {
+    "input_shapes": [[1, 3, 4, 4]],
+    "vertices": [
+        {"id": 0, "op": "batch_norm", "channels": 3},
+        {"id": 1, "op": "output"},
+    ],
+    "edges": [[0, 1]],
+}
+
+CONCAT_OF_UNKNOWN_FEEDER_TO_BN = {
+    "input_shapes": [[1, 2, 4, 4]],
+    "vertices": [
+        {"id": 0, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 2, "out_channels": 3},
+        {"id": 1, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 2, "out_channels": 3},
+        {"id": 2, "op": "unknown", "opname": "mystery"},
+        {"id": 3, "op": "concat"},
+        {"id": 4, "op": "batch_norm", "channels": 6},
+        {"id": 5, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+         "in_channels": 6, "out_channels": 2},
+        {"id": 6, "op": "output"},
+    ],
+    "edges": [[0, 2], [0, 3], [1, 3], [3, 4], [4, 5], [5, 6]],
+}
+
+HAND_WRITTEN = (CONCAT_TO_OUTPUT, CONCAT_TO_UNKNOWN, CONV_TO_UNKNOWN, INPUT_BN_TO_CONV,
+                INPUT_BN_TO_OUTPUT, CONCAT_OF_UNKNOWN_FEEDER_TO_BN)
 
 
 def seed_sets(g):
@@ -57,17 +141,7 @@ def test_pure_stem_chain_has_no_seeds():
 def test_stems_reaching_output_through_concat_are_excluded():
     # Growth stops at the concat, so neither linear feeds the output
     # directly, yet removing a row of either would narrow the output.
-    doc = {
-        "input_shapes": [[1, 4]],
-        "vertices": [
-            {"id": 0, "op": "linear", "in_features": 4, "out_features": 3},
-            {"id": 1, "op": "linear", "in_features": 4, "out_features": 3},
-            {"id": 2, "op": "concat"},
-            {"id": 3, "op": "output"},
-        ],
-        "edges": [[0, 2], [1, 2], [2, 3]],
-    }
-    g = infer_shapes(build_graph(doc))
+    g = infer_shapes(build_graph(CONCAT_TO_OUTPUT))
     init_params(g, np.random.default_rng(0))
     part = partition(g)
     assert part.widths == [0, 0] and part.zigs == []
@@ -82,22 +156,7 @@ def test_stems_reaching_unknown_through_concat_are_excluded():
     # Growth stops at the concat, so the unknown op's component does not
     # absorb the convs, yet removing a channel of either would narrow the
     # opaque op's input.
-    doc = {
-        "input_shapes": [[1, 2, 4, 4]],
-        "vertices": [
-            {"id": 0, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
-             "in_channels": 2, "out_channels": 3},
-            {"id": 1, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
-             "in_channels": 2, "out_channels": 3},
-            {"id": 2, "op": "concat"},
-            {"id": 3, "op": "unknown", "opname": "mystery"},
-            {"id": 4, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
-             "in_channels": 6, "out_channels": 2},
-            {"id": 5, "op": "output"},
-        ],
-        "edges": [[0, 2], [1, 2], [2, 3], [3, 4], [4, 5]],
-    }
-    g = infer_shapes(build_graph(doc))
+    g = infer_shapes(build_graph(CONCAT_TO_UNKNOWN))
     init_params(g, np.random.default_rng(0))
     part = partition(g)
     assert part.zigs == [] and not any(part.widths)
@@ -108,16 +167,7 @@ def test_stems_reaching_unknown_through_concat_are_excluded():
 
 
 def test_unknown_vertex_seeds_own_component():
-    doc = {
-        "input_shapes": [[1, 2, 4, 4]],
-        "vertices": [
-            {"id": 0, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
-             "in_channels": 2, "out_channels": 4},
-            {"id": 1, "op": "unknown", "opname": "mystery"},
-        ],
-        "edges": [[0, 1]],
-    }
-    g = infer_shapes(build_graph(doc))
+    g = infer_shapes(build_graph(CONV_TO_UNKNOWN))
     comps = seed_components(g)
     assert len(comps) == 1 and comps[0].vertex_ids == {1}
     assert comps[0].contains_unknown
@@ -231,24 +281,67 @@ def test_stacked_unets_concat_split_and_arm_coupling():
                    for z in first_groups for s in z.slices)
 
 
-def test_slice_table_lists_every_group_slice():
-    rng = np.random.default_rng(4)
+def builder_and_random_graphs(n_random: int, seed: int):
+    rng = np.random.default_rng(seed)
     graphs = [make() for make in (demo_net, residual_block_net, stacked_unets_mini)]
-    graphs += [random_small_dag(rng) for _ in range(100)]
-    for g in graphs:
+    return graphs + [random_small_dag(rng) for _ in range(n_random)]
+
+
+def test_channel_table_owns_every_group_slice():
+    for g in builder_and_random_graphs(100, seed=4):
         part = partition(g)
-        want = {}
+        slice_owner = {}
         for i, z in enumerate(part.zigs):
             for s in z.slices:
-                want.setdefault((s.vertex_id, s.role), []).append((i, s.start, s.stop))
-        got = {key: sorted(zip(*(a.tolist() for a in table)))
-               for key, table in part.slice_table.items()}
-        assert got == {key: sorted(rows) for key, rows in want.items()}
+                assert part.channel_groups[s.vertex_id][s.start:s.stop] == \
+                    [i] * (s.stop - s.start)
+                for k in range(s.start, s.stop):
+                    slice_owner[(s.vertex_id, s.role, k)] = i
+        for vid, vx in g.vertices.items():
+            if vx.params is None:
+                continue
+            for role, _ in vx.params.trainable_items():
+                role = "weight_row" if role == "weight" else role
+                for k, owner in enumerate(part.channel_groups[vid]):
+                    if owner >= 0:
+                        assert slice_owner.get((vid, role, k)) == owner, (vid, role, k)
+
+
+def test_batchnorm_on_graph_input_has_no_producer():
+    # no stem controls the input's channels: the BatchNorm's 2*3 scalars are
+    # grouped nowhere and tallied as no-producer
+    part = partition(infer_shapes(build_graph(INPUT_BN_TO_CONV)))
+    assert part.zigs == [] and part.widths == [0, 0]
+    assert part.excluded == [ExcludedComponent(1, "output-adjacent", 3 * 2 + 2),
+                             ExcludedComponent(-1, "no-producer", 2 * 3)]
+    # a BatchNorm whose own component is excluded is tallied to it whole
+    part = partition(infer_shapes(build_graph(INPUT_BN_TO_OUTPUT)))
+    assert part.excluded == [ExcludedComponent(0, "output-adjacent", 2 * 3)]
+
+
+def test_batchnorm_rows_tally_to_their_producers_component():
+    g = infer_shapes(build_graph(CONCAT_OF_UNKNOWN_FEEDER_TO_BN))
+    part = partition(g)
+    comp_of = {s: ci for ci, c in enumerate(part.components) for s in c.stem_ids}
+    # conv 0 feeds the unknown op: its 3x2 weight, 3 biases and the first
+    # 3 channels of the BatchNorm are excluded; conv 1 keeps 3 groups that
+    # own the BatchNorm's last 3 channels
+    assert part.widths[comp_of[1]] == 3 and len(part.zigs) == 3
+    assert part.excluded == [
+        ExcludedComponent(comp_of[0], "contains-unknown", 3 * 2 + 3 + 2 * 3),
+        ExcludedComponent(comp_of[5], "output-adjacent", 2 * 6 + 2)]
+    assert part.channel_groups[4] == [-1, -1, -1, 0, 1, 2]
+    for j, z in enumerate(part.zigs):
+        assert z.slices == [ParamSlice(1, "weight_row", j, j + 1),
+                            ParamSlice(1, "bias", j, j + 1),
+                            ParamSlice(4, "gamma", 3 + j, 4 + j),
+                            ParamSlice(4, "beta", 3 + j, 4 + j)]
 
 
 def test_coverage_partition_accounts_every_parameter():
-    for make in (demo_net, residual_block_net, stacked_unets_mini):
-        g = make()
+    graphs = builder_and_random_graphs(100, seed=6)
+    graphs += [infer_shapes(build_graph(doc)) for doc in HAND_WRITTEN]
+    for g in graphs:
         part = partition(g)
         total = ParamIndex(g).size
         in_groups = sum(
@@ -257,7 +350,7 @@ def test_coverage_partition_accounts_every_parameter():
                 for s in z.slices)
             for z in part.zigs)
         in_excluded = sum(e.param_count for e in part.excluded)
-        assert in_groups + in_excluded == total, make.__name__
+        assert in_groups + in_excluded == total, graph_to_doc(g)
 
 
 def test_partition_invariant_under_relabeling():
