@@ -39,11 +39,9 @@ from .graph import (
 from .partition import (
     PartitionResult,
     ZeroInvariantGroup,
+    dependency_components,
     form_zigs,
-    grow_components,
-    merge_components,
     partition,
-    seed_components,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

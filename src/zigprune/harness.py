@@ -70,12 +70,13 @@ class ExperimentConfig:
     @staticmethod
     def from_doc(doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
-        opt = OptimizerConfig(**doc.pop("optimizer", {}))
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return ExperimentConfig(optimizer=opt, **doc)
+        opt_doc = doc.pop("optimizer", {})
+        for what, cls, keys in (("config", ExperimentConfig, doc),
+                                ("optimizer", OptimizerConfig, opt_doc)):
+            unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
+            if unknown:
+                raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+        return ExperimentConfig(optimizer=OptimizerConfig(**opt_doc), **doc)
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":

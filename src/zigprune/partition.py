@@ -1,12 +1,16 @@
 """Zero-invariant group partition over the trace graph.
 
-Pipeline: seed connected components over accessory / shape-dependent-joint /
-unknown vertices, grow each component upstream until every incoming boundary
-vertex is a stem or a shape-independent joint (absorbing the boundary stems as
-affiliated members), merge components that intersect, then pair parameters
-channel-wise inside each component. A group couples one output channel of
-every stem in the component with the matching per-channel accessory scalars,
-including split slices of accessories that sit downstream of a channel concat.
+One edge rule builds the dependency components: an edge (u, v) joins u and
+v when v is an accessory, a shape-dependent (SD) joint or an unknown op, and
+u is one of those or a stem. Its classes are what the paper's pipeline
+computes: seed connected components over accessory / SD-joint / unknown
+vertices, grow each component upstream until every incoming boundary vertex
+is a stem or a shape-independent (SID) joint (absorbing the boundary stems
+as affiliated members), and merge components that intersect. Parameters are
+then paired channel-wise inside each component. A group couples one output
+channel of every stem in the component with the matching per-channel
+accessory scalars, including split slices of accessories that sit
+downstream of a channel concat.
 
 Components whose channels reach the graph output, directly or through a
 channel concat, keep the output interface fixed and are excluded; so are
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentStemWidths, PartitionError
+from .errors import GraphError, InconsistentStemWidths, PartitionError
 from .graph import (
     ACCESSORY,
     ComputationGraph,
@@ -80,9 +84,6 @@ class PartitionResult:
     # channel (-1: none); grouping, zero detection and surgery read it,
     # to_doc leaves it out
     channel_groups: dict[int, list[int]]
-
-    def groups_of_component(self, ci: int) -> list[ZeroInvariantGroup]:
-        return [z for z in self.zigs if z.component_id == ci]
 
     def coloring(self) -> dict[int, int]:
         out = {}
@@ -150,109 +151,52 @@ def group_is_zero(g: ComputationGraph, group: ZeroInvariantGroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the four passes
+# the edge rule and the groups
 # ---------------------------------------------------------------------------
 
-def seed_components(g: ComputationGraph) -> list[DependencyComponent]:
-    """Connected components over accessory + SD-joint + unknown vertices."""
-    eligible = {vid for vid, vx in g.vertices.items()
-                if vx.category in (ACCESSORY, SD_JOINT, UNKNOWN)}
-    seen: set[int] = set()
-    comps = []
-    for start in g.topo_order:
-        if start not in eligible or start in seen:
-            continue
-        members = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in members:
-                continue
-            members.add(v)
-            for u in g.preds[v] + g.succs[v]:
-                if u in eligible and u not in members:
-                    stack.append(u)
-        seen |= members
-        comps.append(DependencyComponent(
-            vertex_ids=members,
-            contains_unknown=any(g.vertices[v].category == UNKNOWN for v in members),
-        ))
-    return comps
+JOINED = (ACCESSORY, SD_JOINT, UNKNOWN)
 
 
-def grow_components(g: ComputationGraph,
-                    comps: list[DependencyComponent]) -> list[DependencyComponent]:
-    """Absorb incoming boundary stems as affiliated members.
+def dependency_components(g: ComputationGraph) -> list[DependencyComponent]:
+    """Classes of the edge rule, ordered by their first vertex in topo order.
 
-    Growth stops at stem and SID-joint boundaries; an SID joint routes
-    dependency without being absorbed.
+    The nodes are the stems, accessories, SD joints and unknown ops; an edge
+    (u, v) joins u and v when v is an accessory, SD joint or unknown op and
+    u is a node. This is the paper's seed, grow and merge in one union-find:
+    edges among accessories, SD joints and unknown ops seed a component,
+    edges from stems into it grow it upstream, and a stem feeding two seeds
+    merges them. Growth stops at SID joints, which are not nodes, and a stem
+    no edge joins stays alone, so plain stem chains stay prunable.
     """
-    topo_index = g.topo_index
-    for comp in comps:
-        seeded = list(comp.vertex_ids)
-        for v in seeded:
-            for u in g.preds[v]:
-                if u in comp.vertex_ids:
-                    continue
-                cat = g.vertices[u].category
-                if cat == STEM:
-                    comp.vertex_ids.add(u)
-                elif cat != SID_JOINT:
-                    raise PartitionError(
-                        f"vertex {u} ({cat}) escaped component seeding"
-                    )
-        _refresh(g, comp, topo_index)
-    return comps
+    category = {vid: vx.category for vid, vx in g.vertices.items()}
+    parent = {vid: vid for vid, cat in category.items() if cat == STEM or cat in JOINED}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        if u in parent and category[v] in JOINED:
+            parent[find(u)] = find(v)
+    classes: dict[int, DependencyComponent] = {}
+    for vid in g.topo_order:
+        if vid not in parent:
+            continue
+        root = find(vid)
+        if root not in classes:
+            classes[root] = DependencyComponent(vertex_ids=set())
+        comp = classes[root]
+        comp.vertex_ids.add(vid)
+        if category[vid] == STEM:
+            comp.stem_ids.append(vid)
+        elif category[vid] == ACCESSORY:
+            comp.accessory_ids.append(vid)
+    return list(classes.values())
 
 
-def _refresh(g: ComputationGraph, comp: DependencyComponent, topo_index) -> None:
-    comp.stem_ids = sorted(
-        (v for v in comp.vertex_ids if g.vertices[v].category == STEM),
-        key=topo_index.__getitem__)
-    comp.accessory_ids = sorted(
-        (v for v in comp.vertex_ids if g.vertices[v].category == ACCESSORY),
-        key=topo_index.__getitem__)
-    comp.adjacent_to_output = any(
-        g.vertices[s].category == OUTPUT
-        for v in comp.vertex_ids for s in g.succs[v])
-
-
-def merge_components(g: ComputationGraph,
-                     comps: list[DependencyComponent]) -> list[DependencyComponent]:
-    """Union components with intersecting vertex sets (flags OR on merge)."""
-    parent = list(range(len(comps)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for v in comp.vertex_ids:
-            if v in owner:
-                parent[find(ci)] = find(owner[v])
-            else:
-                owner[v] = ci
-    merged: dict[int, DependencyComponent] = {}
-    for ci, comp in enumerate(comps):
-        root = find(ci)
-        if root not in merged:
-            merged[root] = DependencyComponent(vertex_ids=set())
-        tgt = merged[root]
-        tgt.vertex_ids |= comp.vertex_ids
-        tgt.contains_unknown |= comp.contains_unknown
-    topo_index = g.topo_index
-    out = sorted(merged.values(),
-                 key=lambda c: min(topo_index[v] for v in c.vertex_ids))
-    for comp in out:
-        _refresh(g, comp, topo_index)
-    return out
-
-
-def _channel_origins(g: ComputationGraph,
-                     comps: list[DependencyComponent]) -> dict[int, list]:
+def _channel_origins(g: ComputationGraph, comp_of: dict[int, int]) -> dict[int, list]:
     """Per vertex: which (component, group) produced each output channel.
 
     This is the one walk of channel provenance: output/unknown exclusions
@@ -261,23 +205,16 @@ def _channel_origins(g: ComputationGraph,
     keeps a channel unless its group is zero.
     After a Flatten, entries are per flat feature (each channel repeated
     height*width times). None marks a channel no stem controls (raw input,
-    unknown op output).
+    unknown op output). ``comp_of`` maps each vertex to its component.
     """
-    stem_comp = {}
-    for ci, comp in enumerate(comps):
-        for s in comp.stem_ids:
-            stem_comp[s] = ci
     origins: dict[int, list] = {}
     for vid in g.topo_order:
         vx = g.vertices[vid]
+        if vx.out_shape is None:
+            raise GraphError("partition requires inferred shapes")
         cat = vx.category
         if cat == STEM:
-            width = vx.kind.width()
-            ci = stem_comp.get(vid)
-            if ci is None:
-                origins[vid] = [None] * width
-            else:
-                origins[vid] = [(ci, j) for j in range(width)]
+            origins[vid] = [(comp_of[vid], j) for j in range(vx.kind.width())]
         elif vid in g.input_binding:
             origins[vid] = [None] * vx.out_shape[1]
         elif cat == ACCESSORY:
@@ -302,7 +239,7 @@ def _channel_origins(g: ComputationGraph,
                 merged.extend(origins[p])
             origins[vid] = merged
         elif cat == UNKNOWN:
-            origins[vid] = [None] * (vx.out_shape[1] if vx.out_shape else 0)
+            origins[vid] = [None] * vx.out_shape[1]
         else:  # graph output
             origins[vid] = []
     return origins
@@ -312,22 +249,13 @@ def form_zigs(g: ComputationGraph,
               comps: list[DependencyComponent]) -> PartitionResult:
     """Pair per-channel parameters within each component into groups.
 
-    Stems absorbed by no component become singleton components so that plain
-    stem chains stay prunable. Output-adjacent and unknown-carrying components
-    are excluded (their parameters are tallied, not grouped).
+    ``comps`` are the classes of the edge rule (``dependency_components``).
+    A component is output-adjacent (contains an unknown op) when it holds
+    the output vertex (an unknown op) or one of that vertex's inputs, or
+    when its channels reach such an input through SID joints, where the edge
+    rule stops. Such components are excluded: their parameters are tallied,
+    not grouped.
     """
-    comps = list(comps)
-    covered = set().union(*(c.vertex_ids for c in comps)) if comps else set()
-    topo_index = g.topo_index
-    singles = []
-    for vid in g.topo_order:
-        if g.vertices[vid].category == STEM and vid not in covered:
-            comp = DependencyComponent(vertex_ids={vid})
-            _refresh(g, comp, topo_index)
-            singles.append(comp)
-    comps = sorted(comps + singles,
-                   key=lambda c: min(topo_index[v] for v in c.vertex_ids))
-
     stem_widths = []
     for ci, comp in enumerate(comps):
         ws = {g.vertices[s].kind.width() for s in comp.stem_ids}
@@ -337,19 +265,21 @@ def form_zigs(g: ComputationGraph,
             )
         stem_widths.append(ws.pop() if ws else 0)
 
-    # Channels reach the output and unknown ops through SID joints too,
-    # where growth stops.
-    origins = _channel_origins(g, comps)
+    comp_of_vertex = {v: ci for ci, comp in enumerate(comps) for v in comp.vertex_ids}
+    origins = _channel_origins(g, comp_of_vertex)
     for vid in g.topo_order:
         cat = g.vertices[vid].category
         if cat not in (OUTPUT, UNKNOWN):
             continue
+        hit = {comp_of_vertex.get(v) for v in (vid, *g.preds[vid])}
         for p in g.preds[vid]:
-            for origin in set(origins[p]) - {None}:
-                if cat == OUTPUT:
-                    comps[origin[0]].adjacent_to_output = True
-                else:
-                    comps[origin[0]].contains_unknown = True
+            hit.update(origin[0] for origin in set(origins[p]) - {None})
+        hit.discard(None)
+        for ci in hit:
+            if cat == OUTPUT:
+                comps[ci].adjacent_to_output = True
+            else:
+                comps[ci].contains_unknown = True
 
     exclusions: dict[int, str] = {}  # excluded component -> reason
     for ci, comp in enumerate(comps):
@@ -366,7 +296,6 @@ def form_zigs(g: ComputationGraph,
     # Every trainable array has one row per output channel, so row k of a
     # vertex belongs to group channel_groups[vid][k]. A run of rows with one
     # owner becomes a single slice (post-Flatten blocks stay contiguous).
-    comp_of_vertex = {v: ci for ci, comp in enumerate(comps) for v in comp.vertex_ids}
     excl_params = {ci: 0 for ci in exclusions}
     stray_params = 0
     for vid in g.topo_order:
@@ -394,6 +323,7 @@ def form_zigs(g: ComputationGraph,
                 zigs[owners[start]].slices += [ParamSlice(vid, role, start, stop)
                                                for role in roles]
 
+    topo_index = g.topo_index
     for z in zigs:
         z.slices.sort(key=lambda s: (topo_index[s.vertex_id], ROLE_ORDER[s.role], s.start))
     excluded = [ExcludedComponent(ci, exclusions[ci], excl_params[ci])
@@ -405,8 +335,5 @@ def form_zigs(g: ComputationGraph,
 
 
 def partition(g: ComputationGraph) -> PartitionResult:
-    """Full partition: seed, grow, merge, group."""
-    comps = seed_components(g)
-    comps = grow_components(g, comps)
-    comps = merge_components(g, comps)
-    return form_zigs(g, comps)
+    """Full partition: the edge rule's components, then their groups."""
+    return form_zigs(g, dependency_components(g))

@@ -143,6 +143,8 @@ def test_env_seed_override(tmp_path, monkeypatch):
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_doc({"epoochs": 3})
+    with pytest.raises(ConfigError, match="unknown optimizer keys: \\['learning_rat'\\]"):
+        ExperimentConfig.from_doc({"optimizer": {"learning_rat": 0.1}})
 
 
 def test_regression_dataset_not_trainable_by_pipeline(tmp_path):

@@ -5,27 +5,26 @@ from zigprune.builders import (conv_chain, demo_net, random_small_dag, residual_
                                stacked_unets_mini)
 from zigprune.compression import compress, make_mask, verify_equivalence
 from zigprune.engine import forward
-from zigprune.errors import InconsistentStemWidths
-from zigprune.graph import build_graph, graph_to_doc, infer_shapes, init_params
+from zigprune.errors import GraphError, InconsistentStemWidths
+from zigprune.graph import (ACCESSORY, SD_JOINT, STEM, UNKNOWN, build_graph, graph_to_doc,
+                            infer_shapes, init_params)
 from zigprune.paramvec import ParamIndex
 from zigprune.partition import (
     DependencyComponent,
     ExcludedComponent,
     ParamSlice,
+    dependency_components,
     form_zigs,
-    grow_components,
-    merge_components,
     partition,
-    seed_components,
     slice_view,
     zero_group,
 )
 
 
 # Hand-written graphs. Stems whose channels reach the output or an unknown op
-# through a concat, where growth stops; an unknown op seeding its own
-# component; a BatchNorm on the graph input (no stem controls its channels),
-# feeding a conv or the output; a BatchNorm after a concat whose first half
+# through a concat, where the edge rule stops; an unknown op joined to the
+# conv feeding it; a BatchNorm on the graph input (no stem controls its
+# channels), feeding a conv or the output; a BatchNorm after a concat whose first half
 # comes from a conv that also feeds an unknown op.
 CONCAT_TO_OUTPUT = {
     "input_shapes": [[1, 4]],
@@ -105,17 +104,6 @@ HAND_WRITTEN = (CONCAT_TO_OUTPUT, CONCAT_TO_UNKNOWN, CONV_TO_UNKNOWN, INPUT_BN_T
                 INPUT_BN_TO_OUTPUT, CONCAT_OF_UNKNOWN_FEEDER_TO_BN)
 
 
-def seed_sets(g):
-    return [frozenset(c.vertex_ids) for c in seed_components(g)]
-
-
-def test_demo_net_seeds():
-    got = set(seed_sets(demo_net()))
-    want = {frozenset({1, 2}), frozenset({5, 6, 7, 8}),
-            frozenset({10, 11, 12}), frozenset({14})}
-    assert got == want
-
-
 def test_pure_stem_chain_has_no_seeds():
     doc = {
         "input_shapes": [[1, 2, 4, 4]],
@@ -129,17 +117,16 @@ def test_pure_stem_chain_has_no_seeds():
         "edges": [[0, 1], [1, 2]],
     }
     g = infer_shapes(build_graph(doc))
-    assert seed_sets(g) == []
-    # each stem still becomes its own component
+    # no edge joins two stems: each becomes its own component
     part = partition(g)
-    assert len(part.components) == 2
+    assert [c.vertex_ids for c in part.components] == [{0}, {1}]
     # the last conv feeds the output: excluded; the first is groupable
     assert part.widths == [4, 0]
     assert [e.reason for e in part.excluded] == ["output-adjacent"]
 
 
 def test_stems_reaching_output_through_concat_are_excluded():
-    # Growth stops at the concat, so neither linear feeds the output
+    # The edge rule stops at the concat, so neither linear feeds the output
     # directly, yet removing a row of either would narrow the output.
     g = infer_shapes(build_graph(CONCAT_TO_OUTPUT))
     init_params(g, np.random.default_rng(0))
@@ -153,8 +140,8 @@ def test_stems_reaching_output_through_concat_are_excluded():
 
 
 def test_stems_reaching_unknown_through_concat_are_excluded():
-    # Growth stops at the concat, so the unknown op's component does not
-    # absorb the convs, yet removing a channel of either would narrow the
+    # The edge rule stops at the concat, so the unknown op's component does
+    # not absorb the convs, yet removing a channel of either would narrow the
     # opaque op's input.
     g = infer_shapes(build_graph(CONCAT_TO_UNKNOWN))
     init_params(g, np.random.default_rng(0))
@@ -168,10 +155,9 @@ def test_stems_reaching_unknown_through_concat_are_excluded():
 
 def test_unknown_vertex_seeds_own_component():
     g = infer_shapes(build_graph(CONV_TO_UNKNOWN))
-    comps = seed_components(g)
-    assert len(comps) == 1 and comps[0].vertex_ids == {1}
-    assert comps[0].contains_unknown
     part = partition(g)
+    assert [c.vertex_ids for c in part.components] == [{0, 1}]
+    assert part.components[0].contains_unknown
     assert part.zigs == []
     assert part.excluded[0].reason == "contains-unknown"
     # the conv's 4x2 weight and 4 biases land in the excluded tally
@@ -180,7 +166,7 @@ def test_unknown_vertex_seeds_own_component():
 
 def test_demo_net_grown_components():
     g = demo_net()
-    comps = merge_components(g, grow_components(g, seed_components(g)))
+    comps = dependency_components(g)
     sets = {frozenset(c.vertex_ids) for c in comps}
     assert frozenset({0, 1, 2}) in sets
     assert frozenset({3, 4, 5, 6, 7, 8}) in sets
@@ -191,16 +177,81 @@ def test_demo_net_grown_components():
     assert by_set[frozenset({0, 1, 2})].stem_ids == [0]
 
 
-def test_merge_unions_shared_stems():
-    g = demo_net()
-    a = DependencyComponent(vertex_ids={3, 5}, contains_unknown=False)
-    b = DependencyComponent(vertex_ids={3, 6}, contains_unknown=True)
-    c = DependencyComponent(vertex_ids={10})
-    merged = merge_components(g, [a, b, c])
-    assert len(merged) == 2
-    big = next(m for m in merged if 3 in m.vertex_ids)
-    assert big.vertex_ids == {3, 5, 6}
-    assert big.contains_unknown  # flag ORs across the merge
+def stem_feeding_two_chains(second_chain_end: dict) -> dict:
+    # conv 0 feeds BatchNorm 1 and BatchNorm 2; BatchNorm 1 feeds conv 3,
+    # BatchNorm 2 feeds vertex 4; conv 3 feeds the output
+    return {
+        "input_shapes": [[1, 2, 4, 4]],
+        "vertices": [
+            {"id": 0, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+             "in_channels": 2, "out_channels": 3},
+            {"id": 1, "op": "batch_norm", "channels": 3},
+            {"id": 2, "op": "batch_norm", "channels": 3},
+            {"id": 3, "op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+             "in_channels": 3, "out_channels": 2},
+            {"id": 4, **second_chain_end},
+            {"id": 5, "op": "output"},
+        ],
+        "edges": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5]],
+    }
+
+
+def test_stem_feeding_two_batchnorm_chains_is_one_component():
+    conv = {"op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
+            "in_channels": 3, "out_channels": 2}
+    part = partition(infer_shapes(build_graph(stem_feeding_two_chains(conv))))
+    assert [c.vertex_ids for c in part.components] == [{0, 1, 2}, {3}, {4}]
+    assert part.widths == [3, 0, 2]
+    assert part.zigs[0].slices == [ParamSlice(0, "weight_row", 0, 1),
+                                   ParamSlice(0, "bias", 0, 1),
+                                   ParamSlice(1, "gamma", 0, 1),
+                                   ParamSlice(1, "beta", 0, 1),
+                                   ParamSlice(2, "gamma", 0, 1),
+                                   ParamSlice(2, "beta", 0, 1)]
+    # an unknown op ending one chain excludes the whole component
+    unknown = {"op": "unknown", "opname": "mystery"}
+    part = partition(infer_shapes(build_graph(stem_feeding_two_chains(unknown))))
+    assert [c.vertex_ids for c in part.components] == [{0, 1, 2, 4}, {3}]
+    assert part.zigs == []
+    # the BatchNorm on the known chain is tallied with the conv feeding it
+    assert part.excluded == [ExcludedComponent(0, "contains-unknown", 3 * 2 + 3 + 2 * 3 * 2),
+                             ExcludedComponent(1, "output-adjacent", 2 * 3 + 2)]
+
+
+def test_components_follow_the_edge_rule():
+    graphs = builder_and_random_graphs(100, seed=7)
+    graphs += [infer_shapes(build_graph(doc)) for doc in HAND_WRITTEN]
+    nodes = (STEM, ACCESSORY, SD_JOINT, UNKNOWN)
+    for g in graphs:
+        comps = partition(g).components
+        comp_of = {}
+        for ci, c in enumerate(comps):
+            for v in c.vertex_ids:
+                assert v not in comp_of, (v, graph_to_doc(g))
+                comp_of[v] = ci
+        assert set(comp_of) == {v for v, vx in g.vertices.items() if vx.category in nodes}
+        joining = [(u, v) for u, v in g.edges
+                   if u in comp_of and g.vertices[v].category in nodes[1:]]
+        assert all(comp_of[u] == comp_of[v] for u, v in joining)
+        # each component is connected by joining edges
+        adjacent = {v: set() for v in comp_of}
+        for u, v in joining:
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        for c in comps:
+            start = min(c.vertex_ids)
+            reached, stack = {start}, [start]
+            while stack:
+                for w in adjacent[stack.pop()] - reached:
+                    reached.add(w)
+                    stack.append(w)
+            assert reached == c.vertex_ids, graph_to_doc(g)
+
+
+def test_partition_of_unshaped_graph_raises_graph_error():
+    g = build_graph(graph_to_doc(demo_net(), include_params=False))
+    with pytest.raises(GraphError, match="requires inferred shapes"):
+        partition(g)
 
 
 def demo_golden_groups(part):
@@ -273,8 +324,8 @@ def test_stacked_unets_concat_split_and_arm_coupling():
         mid = by_stems[(names[f"{arm}_conv_mid"],)]
         first = by_stems[(names[f"{arm}_conv_in"],)]
         bn_cat = names[f"{arm}_bn_cat"]
-        mid_groups = part.groups_of_component(mid)
-        first_groups = part.groups_of_component(first)
+        mid_groups = [z for z in part.zigs if z.component_id == mid]
+        first_groups = [z for z in part.zigs if z.component_id == first]
         assert any(s.vertex_id == bn_cat and s.start < 16
                    for z in mid_groups for s in z.slices)
         assert any(s.vertex_id == bn_cat and s.start >= 16
