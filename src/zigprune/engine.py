@@ -95,25 +95,33 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
     return acts[out_id], cache
 
 
-def _loss_and_grad(out: np.ndarray, loss: str, targets: np.ndarray):
+def _loss_terms(out: np.ndarray, loss: str, targets):
+    """(loss value, what its gradient is built from): the log-softmax for
+    cross-entropy, the residual for mse."""
     n = out.shape[0]
     if loss == "cross_entropy":
-        targets = np.asarray(targets, dtype=int)
         z = out - out.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        value = -logp[np.arange(n), targets].mean()
-        dout = np.exp(logp)
-        dout[np.arange(n), targets] -= 1.0
-        return value, dout / n
+        return -logp[np.arange(n), np.asarray(targets, dtype=int)].mean(), logp
     if loss == "mse":
-        targets = np.asarray(targets, dtype=float)
-        r = out - targets
-        return 0.5 * (r * r).sum() / n, r / n
+        r = out - np.asarray(targets, dtype=float)
+        return 0.5 * (r * r).sum() / n, r
     raise ValueError(f"unsupported loss {loss!r}")
 
 
+def _loss_and_grad(out: np.ndarray, loss: str, targets: np.ndarray):
+    value, terms = _loss_terms(out, loss, targets)
+    n = out.shape[0]
+    if loss == "cross_entropy":
+        dout = np.exp(terms)
+        dout[np.arange(n), np.asarray(targets, dtype=int)] -= 1.0
+        return value, dout / n
+    return value, terms / n
+
+
 def evaluate_loss(out: np.ndarray, loss: str, targets) -> float:
-    return _loss_and_grad(out, loss, targets)[0]
+    """The loss value alone; no gradient is built."""
+    return _loss_terms(out, loss, targets)[0]
 
 
 def zero_gradients(g: ComputationGraph) -> GradientStore:

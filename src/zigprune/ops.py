@@ -346,6 +346,13 @@ class BatchNorm(OpKind):
         return f"C={self.channels}"
 
     def forward(self, params, xs, mode, src=None, cols_memo=None):
+        """Train mode normalizes with the batch statistics in three passes,
+        ``(x - mean) * (gamma * inv_std) + beta``, and updates the running
+        statistics. Eval mode makes two passes, ``x * a + b`` with
+        ``a = gamma * inv_std`` and ``b = beta - running_mean * a``, equal
+        to the three-pass form up to rounding; train mode is not folded so
+        that training iterates keep their rounding. Either cache holds
+        ``mean`` and ``inv_std``, which ``backward`` reads."""
         x, = xs
         x3 = _bn_view(x)
         if mode == "train":
@@ -357,13 +364,16 @@ class BatchNorm(OpKind):
             params.running_mean += BN_MOMENTUM * mean
             params.running_var *= 1.0 - BN_MOMENTUM
             params.running_var += BN_MOMENTUM * var
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            out = x3 - mean[:, None]
+            out *= (params.gamma * inv_std)[:, None]
+            out += params.beta[:, None]
         else:
-            mean, var = params.running_mean.copy(), params.running_var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        scale = params.gamma * inv_std
-        out = x3 - mean[:, None]
-        out *= scale[:, None]
-        out += params.beta[:, None]
+            mean = params.running_mean.copy()
+            inv_std = 1.0 / np.sqrt(params.running_var + BN_EPS)
+            a = params.gamma * inv_std
+            out = x3 * a[:, None]
+            out += (params.beta - mean * a)[:, None]
         return out.reshape(x.shape), {"x": x3, "mean": mean, "inv_std": inv_std,
                                       "mode": mode}
 
@@ -408,11 +418,11 @@ class ReLU(OpKind):
 
     def forward(self, params, xs, mode, src=None, cols_memo=None):
         x, = xs
-        mask = x > 0
-        return x * mask, {"mask": mask}
+        out = np.maximum(x, 0.0)
+        return out, {"out": out}
 
     def backward(self, params, cache, dout, grads, need_dx=True):
-        return [dout * cache["mask"]]
+        return [dout * (cache["out"] > 0)]
 
 
 @dataclass(frozen=True)
@@ -476,7 +486,12 @@ class AvgPool(_Pool):
         n, c, ho, wo = dout.shape
         k = self.kernel
         if _tiles(self, cache["x_shape"]):
-            return [np.repeat(np.repeat(dout / (k * k), k, axis=2), k, axis=3)]
+            # Widen each row k-fold, then copy it to the window's k rows. One
+            # 6-D broadcast copy is slower: numpy's inner loop would run over
+            # just k elements.
+            wide = np.repeat(dout / (k * k), k, axis=3)
+            tiled = np.broadcast_to(wide[:, :, :, None, :], (n, c, ho, k, wo * k))
+            return [tiled.reshape(cache["x_shape"])]
         dwin = np.broadcast_to((dout / (k * k))[..., None, None], (n, c, ho, wo, k, k))
         return [_pool_scatter(dwin, cache["x_shape"], self.kernel, self.stride, ho, wo)]
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from zigprune.builders import BUILDERS, demo_net
-from zigprune.engine import accuracy, backward, evaluate_loss, forward
+from zigprune.engine import _loss_and_grad, accuracy, backward, evaluate_loss, forward
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
-from zigprune.ops import Add, Mul
+from zigprune.harness import evaluate_graph
+from zigprune.ops import Add, AvgPool, Mul, ReLU
 from zigprune.paramvec import ParamIndex
 
 
@@ -141,6 +142,7 @@ def test_repeated_passes_take_no_page_faults():
     g = demo_net(seed=9)
     rng = np.random.default_rng(46)
     x_eval = rng.normal(size=(256, 3, 16, 16))
+    y_eval = rng.integers(0, 10, size=256)
     x_train = rng.normal(size=(128, 3, 16, 16))
     y_train = rng.integers(0, 10, size=128)
 
@@ -158,8 +160,11 @@ def test_repeated_passes_take_no_page_faults():
         forward(g, x_eval, mode="eval")
     for _ in range(5):
         train_step()
+    for _ in range(10):
+        evaluate_graph(g, x_eval, y_eval, "cross_entropy")
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 500, f"{faults} minor page faults in 10 eval and 5 train passes"
+    assert faults < 500, (f"{faults} minor page faults in 10 eval and 5 train passes "
+                          "and 10 chunked evaluations")
 
 
 def test_bn_identity_passthrough_in_eval():
@@ -308,6 +313,27 @@ def test_gradients_match_finite_differences(name, loss):
     assert worst < 1e-5, f"{name}/{loss}: rel err {worst}"
 
 
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+def test_evaluate_loss_is_the_value_of_loss_and_grad(loss):
+    rng = np.random.default_rng(31)
+    out = 3.0 * rng.normal(size=(9, 5))
+    targets = rng.integers(0, 5, size=9) if loss == "cross_entropy" \
+        else rng.normal(size=(9, 5))
+    assert evaluate_loss(out, loss, targets) == _loss_and_grad(out, loss, targets)[0]
+
+
+def test_relu_is_one_pass_max_with_the_masked_product_values():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(4, 3, 5, 5))
+    x[0, 0, 0, :2] = [0.0, -0.0]
+    out, cache = ReLU().forward(None, [x], "eval")
+    # np.array_equal counts -0.0 equal to 0.0: only the sign of a zero differs
+    assert np.array_equal(out, x * (x > 0))
+    dout = rng.normal(size=x.shape)
+    dx, = ReLU().backward(None, cache, dout, {})
+    assert np.array_equal(dx, dout * (x > 0))
+
+
 def test_accuracy_helper():
     out = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.0]])
     assert accuracy(out, [0, 1, 1]) == pytest.approx(2 / 3)
@@ -425,6 +451,20 @@ def test_batchnorm_backward_on_eval_cache():
     assert np.abs(dx - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(6, 3, 4, 5), (7, 4)])
+def test_eval_batchnorm_matches_normalize_then_scale(shape):
+    c = shape[1]
+    g = graph_of(shape, [{"op": "batch_norm", "channels": c}], [], seed=28)
+    p = randomize_bn(g, 29).vertices[0].params
+    x = 1.0 + 3.0 * np.random.default_rng(30).normal(size=shape)
+    bshape = (1, c, 1, 1) if len(shape) == 4 else (1, c)
+    rm, rv, gamma, beta = (a.reshape(bshape) for a in
+                           (p.running_mean, p.running_var, p.gamma, p.beta))
+    want = (x - rm) / np.sqrt(rv + 1e-5) * gamma + beta
+    out, _ = forward(g, x, mode="eval")
+    assert np.abs(out - want).max() < 1e-12
+
+
 def loop_avg_pool(x, k, stride):
     n, c, h, w = x.shape
     ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
@@ -451,6 +491,17 @@ def test_avg_pool_matches_loop_and_finite_differences(k, stride, size):
     want = loop_avg_pool(cache["acts"][0], k, stride)
     assert np.abs(cache["acts"][1] - want).max() < 1e-14
     assert finite_difference_check(g, "mse", n_coords=40, seed=18) < 1e-5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tiled_avg_pool_backward_is_bit_identical_to_repeat(k):
+    rng = np.random.default_rng(33 + k)
+    kind = AvgPool(kernel=k, stride=k)
+    out, cache = kind.forward(None, [rng.normal(size=(3, 2, 3 * k, 2 * k))], "eval")
+    dout = rng.normal(size=out.shape)
+    dx, = kind.backward(None, cache, dout, {})
+    want = np.repeat(np.repeat(dout / (k * k), k, axis=2), k, axis=3)
+    assert dx.shape == want.shape and dx.tobytes() == want.tobytes()
 
 
 def loop_max_pool(x, k, stride):

@@ -11,6 +11,7 @@ from zigprune.errors import ConfigError, TrainingDiverged
 from zigprune.graph import graphs_structurally_equal, infer_shapes, load_graph
 from zigprune.harness import (
     ExperimentConfig,
+    evaluate_graph,
     resolve_target_groups,
     run_ablation_dhspg_vs_hspg,
     run_pipeline,
@@ -18,7 +19,7 @@ from zigprune.harness import (
     time_partition,
 )
 from zigprune.partition import partition
-from zigprune.builders import demo_net
+from zigprune.builders import demo_net, residual_block_net
 
 
 def small_cfg(tmp_path, name, **over):
@@ -189,3 +190,22 @@ def test_rng_streams_distinct_and_reproducible():
 
 def test_time_partition_returns_positive():
     assert time_partition(50, repeats=1) > 0
+
+
+@pytest.mark.parametrize("builder", [demo_net, residual_block_net])
+def test_evaluate_graph_does_not_depend_on_the_chunk_size(builder):
+    g = builder(seed=4)
+    rng = np.random.default_rng(5)
+    for vx in g.vertices.values():
+        if vx.params is not None and vx.params.running_mean is not None:
+            c = vx.params.running_mean.shape[0]
+            vx.params.running_mean = rng.normal(size=c)
+            vx.params.running_var = rng.uniform(0.5, 2.0, c)
+    n = 300  # 300 = 42 * 7 + 6 = 9 * 32 + 12 = 256 + 44: ragged last chunks
+    x = rng.normal(size=(n, *g.input_shapes[0][1:]))
+    y = rng.integers(0, g.vertices[g.topo_order[-1]].out_shape[1], size=n)
+    want_loss, want_acc = evaluate_graph(g, x, y, "cross_entropy", batch=n)
+    for batch in (1, 7, 32, 256):
+        loss, acc = evaluate_graph(g, x, y, "cross_entropy", batch=batch)
+        assert abs(loss - want_loss) < 1e-12, batch
+        assert acc == want_acc, batch
