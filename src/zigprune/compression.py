@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllGroupsZeroInComponent, GraphError, ShapeMismatchAfterPrune
+from .errors import (AllGroupsZeroInComponent, ConfigError, GraphError,
+                     ShapeMismatchAfterPrune)
 from .graph import ComputationGraph, Vertex, count_flops_params, infer_shapes
 from .partition import PartitionResult
-from .engine import forward
+from .engine import EVAL_BATCH, forward
 
 
 @dataclass
@@ -166,23 +167,40 @@ def verify_equivalence(full: ComputationGraph, compressed: ComputationGraph,
                        n_trials: int = 100, tol: float = 1e-9,
                        rng: Optional[np.random.Generator] = None,
                        batch: int = 2) -> dict:
-    """Max |full(x) - compressed(x)| over random eval-mode inputs; the gate
-    is absolute. ``max_rel_diff`` divides each trial's max by that trial's
-    max |full(x)|, which tells rounding from a wrong cut on deep graphs
-    whose outputs are large."""
+    """Max |full(x) - compressed(x)| over ``n_trials`` random eval-mode
+    inputs of ``batch`` samples each; the gate is absolute. ``max_rel_diff``
+    divides each trial's max by that trial's max |full(x)|, which tells
+    rounding from a wrong cut on deep graphs whose outputs are large.
+
+    Each trial's inputs are drawn on their own, trial by trial and input by
+    input, so the samples and the state ``rng`` is left in do not depend on
+    how trials are grouped; whole trials then run ``EVAL_BATCH // batch``
+    (at least one) to a forward.
+
+    Raises ConfigError unless n_trials and batch are at least 1.
+    """
+    if n_trials < 1 or batch < 1:
+        raise ConfigError(f"the equivalence check needs n_trials >= 1 and batch >= 1, "
+                          f"got n_trials={n_trials}, batch={batch}")
     rng = rng or np.random.default_rng(0)
+    per_forward = max(1, EVAL_BATCH // batch)
     worst = worst_rel = 0.0
-    for _ in range(n_trials):
-        xs = [rng.normal(size=(batch, *shape[1:])) for shape in full.input_shapes]
+    for done in range(0, n_trials, per_forward):
+        trials = min(per_forward, n_trials - done)
+        draws = [[rng.normal(size=(batch, *shape[1:])) for shape in full.input_shapes]
+                 for _ in range(trials)]
+        xs = [np.concatenate(arrays) for arrays in zip(*draws)]
         y_full, _ = forward(full, xs, mode="eval")
         y_small, _ = forward(compressed, xs, mode="eval")
         if y_full.shape != y_small.shape:
             return {"n_trials": n_trials, "tol": tol, "max_abs_diff": float("inf"),
                     "max_rel_diff": float("inf"), "passed": False}
-        diff = float(np.abs(y_full - y_small).max())
-        worst = max(worst, diff)
-        if diff:
-            scale = float(np.abs(y_full).max())
-            worst_rel = max(worst_rel, diff / scale if scale else float("inf"))
+        diff = np.abs(y_full - y_small).reshape(trials, -1).max(axis=1)
+        worst = max(worst, float(diff.max()))
+        hit = diff > 0
+        if hit.any():
+            scale = np.abs(y_full).reshape(trials, -1).max(axis=1)[hit]
+            with np.errstate(divide="ignore"):
+                worst_rel = max(worst_rel, float((diff[hit] / scale).max()))
     return {"n_trials": n_trials, "tol": tol, "max_abs_diff": worst,
             "max_rel_diff": worst_rel, "passed": worst < tol}

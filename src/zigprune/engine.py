@@ -20,6 +20,11 @@ from .graph import ComputationGraph
 # GradientStore: vertex id -> role -> array, mirroring ParameterSet layouts.
 GradientStore = dict[int, dict[str, np.ndarray]]
 
+# Samples per eval forward, for evaluation and the equivalence check: small
+# enough that a chunk's activations and conv columns stay in a core's L2
+# cache (README, "Eval in chunks").
+EVAL_BATCH = 32
+
 
 def _keep_freed_memory() -> None:
     """Have glibc's malloc keep freed array buffers for the next step.

@@ -35,7 +35,7 @@ from .datasets import (
     minibatches,
 )
 from .dhspg import DhspgOptimizer, OptimizerConfig
-from .engine import accuracy, backward, evaluate_loss, forward
+from .engine import EVAL_BATCH, accuracy, backward, evaluate_loss, forward
 from .errors import AllGroupsZeroInComponent, ConfigError, TrainingDiverged
 from .graph import count_flops_params, infer_shapes, init_params, load_graph, save_graph
 from .paramvec import ParamIndex
@@ -76,7 +76,11 @@ class ExperimentConfig:
             unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
                 raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-        return ExperimentConfig(optimizer=OptimizerConfig(**opt_doc), **doc)
+        cfg = ExperimentConfig(optimizer=OptimizerConfig(**opt_doc), **doc)
+        trials = cfg.equivalence_trials
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+            raise ConfigError(f"equivalence_trials must be an integer >= 1, got {trials!r}")
+        return cfg
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -130,25 +134,27 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
 
 
 def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> ClassificationData:
+    """The configured dataset. Raises ConfigError for a kind the pipeline
+    cannot train on, or when the train or the test split is empty."""
     spec = dict(cfg.dataset)
     kind = spec.pop("kind", None)
     if kind == "synthetic-classification":
         seed = int(rng_data.integers(1 << 31))
-        return gen_synthetic_classification(seed=seed, **spec)
-    if kind == "image-csv":
-        return load_image_csv(spec["dir"])
-    raise ConfigError(f"dataset kind {kind!r} is not trainable by the graph "
-                      "pipeline (regression runs through the sweep tools)")
+        data = gen_synthetic_classification(seed=seed, **spec)
+    elif kind == "image-csv":
+        data = load_image_csv(spec["dir"])
+    else:
+        raise ConfigError(f"dataset kind {kind!r} is not trainable by the graph "
+                          "pipeline (regression runs through the sweep tools)")
+    for split, x in (("train", data.x_train), ("test", data.x_test)):
+        if len(x) == 0:
+            raise ConfigError(f"the {kind} dataset's {split} split is empty")
+    return data
 
 
 # ---------------------------------------------------------------------------
 # graph training
 # ---------------------------------------------------------------------------
-
-# Samples per eval forward: small enough that a chunk's activations and conv
-# columns stay in a core's L2 cache (README, "Eval in chunks").
-EVAL_BATCH = 32
-
 
 def evaluate_graph(g, x, y, loss: str, batch: int = EVAL_BATCH):
     """(mean loss, accuracy) of g on (x, y), evaluated ``batch`` samples at a

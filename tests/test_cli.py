@@ -134,3 +134,13 @@ def test_error_exit_code(tmp_path):
     bad.write_text(json.dumps({"vertices": [{"id": 0, "op": "nope"}]}),
                    encoding="utf-8")
     assert main(["partition", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5])
+def test_train_rejects_equivalence_trials_below_one(tmp_path, trials, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"equivalence_trials": trials,
+                                "output_dir": str(tmp_path / "run")}), encoding="utf-8")
+    assert main(["train", str(path)]) == 2
+    assert "equivalence_trials" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")

@@ -13,8 +13,8 @@ from zigprune.compression import (
     prune,
     verify_equivalence,
 )
-from zigprune.engine import forward
-from zigprune.errors import AllGroupsZeroInComponent
+from zigprune.engine import EVAL_BATCH, forward
+from zigprune.errors import AllGroupsZeroInComponent, ConfigError
 from zigprune.graph import (
     count_flops_params,
     graphs_structurally_equal,
@@ -242,15 +242,75 @@ def test_equivalence_relative_diff_divides_by_output_scale():
     small, _ = compress(g, part)
     small.vertices[13].params.weight[0, 0] += 1e-3
     report = verify_equivalence(g, small, n_trials=3, rng=np.random.default_rng(1))
+    # the check runs its 3 trials of 2 samples as one forward: so does the
+    # oracle, since eval forwards are not bitwise batch-invariant
     rng = np.random.default_rng(1)
-    want = 0.0
-    for _ in range(3):
-        x = rng.normal(size=(2, *g.input_shapes[0][1:]))
-        y_full = forward(g, x, mode="eval")[0]
-        diff = np.abs(y_full - forward(small, x, mode="eval")[0]).max()
-        want = max(want, diff / np.abs(y_full).max())
+    x = np.concatenate([rng.normal(size=(2, *g.input_shapes[0][1:])) for _ in range(3)])
+    y_full = forward(g, x, mode="eval")[0]
+    diff = np.abs(y_full - forward(small, x, mode="eval")[0]).reshape(3, -1).max(axis=1)
+    want = (diff / np.abs(y_full).reshape(3, -1).max(axis=1)).max()
     assert report["max_rel_diff"] == want > 0
     assert report["max_rel_diff"] < report["max_abs_diff"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_equivalence_batched_trials_match_per_trial_draws(name, monkeypatch):
+    """17 trials of 2 samples run as forwards of 16 trials and of 1: the
+    check sees the samples that 17 per-trial draws give, leaves the caller's
+    rng where they leave it, and reports each trial's diffs as a per-trial
+    batch-2 oracle computes them."""
+    rng = np.random.default_rng(31)
+    g = randomized(BUILDERS[name](seed=32), rng)
+    part = partition(g)
+    for i in random_mask_ids(part, rng):
+        zero_group(g, part.zigs[i])
+    small, _ = compress(g, part)
+    # a wrong head bias: every sample's diff is 1, so a trial's relative
+    # diff is 1 over its own max |full(x)|
+    head = max(vid for vid, vx in small.vertices.items()
+               if vx.params is not None and vx.params.bias is not None)
+    small.vertices[head].params.bias[0] += 1.0
+
+    seen = []
+
+    def recording_forward(graph, xs, mode):
+        if graph is g:
+            seen.append([x.copy() for x in xs])
+        return forward(graph, xs, mode=mode)
+
+    monkeypatch.setattr("zigprune.compression.forward", recording_forward)
+    n_trials = 17
+    rng = np.random.default_rng(33)
+    report = verify_equivalence(g, small, n_trials=n_trials, rng=rng)
+    monkeypatch.undo()
+
+    per_forward = EVAL_BATCH // 2
+    assert len(seen) == -(-n_trials // per_forward)
+    oracle_rng = np.random.default_rng(33)
+    trials = [[oracle_rng.normal(size=(2, *shape[1:])) for shape in g.input_shapes]
+              for _ in range(n_trials)]
+    assert rng.random() == oracle_rng.random()
+    for k in range(len(g.input_shapes)):
+        drawn = np.concatenate([xs[k] for xs in seen])
+        assert np.array_equal(drawn, np.concatenate([xs[k] for xs in trials]))
+
+    abs_diffs, rel_diffs = [], []
+    for xs in trials:
+        y_full = forward(g, xs, mode="eval")[0]
+        diff = np.abs(y_full - forward(small, xs, mode="eval")[0]).max()
+        abs_diffs.append(diff)
+        rel_diffs.append(diff / np.abs(y_full).max())
+    assert report["max_abs_diff"] == pytest.approx(max(abs_diffs), rel=1e-12)
+    assert report["max_rel_diff"] == pytest.approx(max(rel_diffs), rel=1e-12)
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("bad", [{"n_trials": 0}, {"n_trials": -1}, {"batch": 0}])
+def test_equivalence_rejects_empty_trials(bad):
+    g = demo_net(seed=1)
+    small, _ = compress(g, partition(g))
+    with pytest.raises(ConfigError):
+        verify_equivalence(g, small, **bad)
 
 
 def test_monotone_reduction():

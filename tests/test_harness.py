@@ -164,6 +164,15 @@ def test_multi_input_graph_rejected_before_training(tmp_path):
     assert not os.path.exists(os.path.join(cfg.output_dir, "training_log.csv"))
 
 
+@pytest.mark.parametrize("split", ["n_train", "n_test"])
+def test_empty_split_rejected_before_training(tmp_path, split):
+    dataset = {"kind": "synthetic-classification", "n_train": 64, "n_test": 16, split: 0}
+    cfg = small_cfg(tmp_path, split, dataset=dataset, epochs=1)
+    with pytest.raises(ConfigError, match="split is empty"):
+        run_pipeline(cfg)
+    assert not os.path.exists(os.path.join(cfg.output_dir, "training_log.csv"))
+
+
 def test_ablation_contrast():
     problem = GroupSparseProblem(n_samples=300, n_groups=8, group_size=4,
                                  support_size=3, noise=0.01)
