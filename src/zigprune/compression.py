@@ -175,7 +175,8 @@ def verify_equivalence(full: ComputationGraph, compressed: ComputationGraph,
     Each trial's inputs are drawn on their own, trial by trial and input by
     input, so the samples and the state ``rng`` is left in do not depend on
     how trials are grouped; whole trials then run ``EVAL_BATCH // batch``
-    (at least one) to a forward.
+    (at least one) to a forward. A NaN difference makes ``max_abs_diff``
+    NaN and fails the check.
 
     Raises ConfigError unless n_trials and batch are at least 1.
     """
@@ -196,7 +197,7 @@ def verify_equivalence(full: ComputationGraph, compressed: ComputationGraph,
             return {"n_trials": n_trials, "tol": tol, "max_abs_diff": float("inf"),
                     "max_rel_diff": float("inf"), "passed": False}
         diff = np.abs(y_full - y_small).reshape(trials, -1).max(axis=1)
-        worst = max(worst, float(diff.max()))
+        worst = float(np.maximum(worst, diff.max()))  # NaN stays NaN and fails
         hit = diff > 0
         if hit.any():
             scale = np.abs(y_full).reshape(trials, -1).max(axis=1)[hit]

@@ -305,6 +305,14 @@ def test_equivalence_batched_trials_match_per_trial_draws(name, monkeypatch):
     assert not report["passed"]
 
 
+def test_equivalence_fails_on_nan_output():
+    g = randomized(demo_net(seed=8), np.random.default_rng(9))
+    small, _ = compress(g, partition(g))
+    small.vertices[15].params.bias[0] = np.nan
+    report = verify_equivalence(g, small, n_trials=3, rng=np.random.default_rng(1))
+    assert np.isnan(report["max_abs_diff"]) and not report["passed"]
+
+
 @pytest.mark.parametrize("bad", [{"n_trials": 0}, {"n_trials": -1}, {"batch": 0}])
 def test_equivalence_rejects_empty_trials(bad):
     g = demo_net(seed=1)
