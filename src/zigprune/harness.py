@@ -78,7 +78,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
         cfg = ExperimentConfig(optimizer=OptimizerConfig(**opt_doc), **doc)
         trials = cfg.equivalence_trials
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        if type(trials) is not int or trials < 1:
             raise ConfigError(f"equivalence_trials must be an integer >= 1, got {trials!r}")
         return cfg
 
