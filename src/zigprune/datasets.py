@@ -151,6 +151,8 @@ def load_image_csv(directory: str, scale: float = 1.0 / 255.0) -> Classification
     """Load train.csv / test.csv of label,pixel... rows as (N,1,H,W) images."""
     def load(name):
         x, y = _read_label_pixel_csv(os.path.join(directory, name))
+        if not len(y):
+            raise ConfigError(f"{name}: no samples")
         side = math.isqrt(x.shape[1])
         if side * side != x.shape[1]:
             raise ConfigError(f"{name}: {x.shape[1]} pixels is not a square image")

@@ -8,6 +8,7 @@ from zigprune.datasets import (
     load_image_csv,
     minibatches,
 )
+from zigprune.errors import ConfigError
 
 
 def test_noiseless_oracle_recovers_truth():
@@ -81,6 +82,13 @@ def test_image_csv_loader(tmp_path):
     assert data.x_train.shape == (6, 1, 4, 4)
     assert data.x_test.shape == (4, 1, 4, 4)
     assert data.x_train.max() <= 1.0
+
+
+def test_image_csv_without_samples_is_a_config_error(tmp_path):
+    (tmp_path / "train.csv").write_text("label,p0,p1,p2,p3\n0,1,2,3,4\n", encoding="utf-8")
+    (tmp_path / "test.csv").write_text("label,p0,p1,p2,p3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="test.csv: no samples"):
+        load_image_csv(str(tmp_path))
 
 
 def test_minibatches_cover_everything_once():
