@@ -165,30 +165,28 @@ def compress(g: ComputationGraph, part: PartitionResult,
 
 def verify_equivalence(full: ComputationGraph, compressed: ComputationGraph,
                        n_trials: int = 100, tol: float = 1e-9,
-                       rng: Optional[np.random.Generator] = None,
-                       batch: int = 2) -> dict:
+                       rng: Optional[np.random.Generator] = None) -> dict:
     """Max |full(x) - compressed(x)| over ``n_trials`` random eval-mode
-    inputs of ``batch`` samples each; the gate is absolute. ``max_rel_diff``
+    inputs of two samples each; the gate is absolute. ``max_rel_diff``
     divides each trial's max by that trial's max |full(x)|, which tells
     rounding from a wrong cut on deep graphs whose outputs are large.
 
     Each trial's inputs are drawn on their own, trial by trial and input by
     input, so the samples and the state ``rng`` is left in do not depend on
-    how trials are grouped; whole trials then run ``EVAL_BATCH // batch``
-    (at least one) to a forward. A NaN difference makes ``max_abs_diff``
-    NaN and fails the check.
+    how trials are grouped; whole trials then run ``EVAL_BATCH // 2`` to a
+    forward. A NaN difference makes ``max_abs_diff`` NaN and fails the
+    check.
 
-    Raises ConfigError unless n_trials and batch are at least 1.
+    Raises ConfigError unless n_trials is at least 1.
     """
-    if n_trials < 1 or batch < 1:
-        raise ConfigError(f"the equivalence check needs n_trials >= 1 and batch >= 1, "
-                          f"got n_trials={n_trials}, batch={batch}")
+    if n_trials < 1:
+        raise ConfigError(f"the equivalence check needs n_trials >= 1, got {n_trials}")
     rng = rng or np.random.default_rng(0)
-    per_forward = max(1, EVAL_BATCH // batch)
+    per_forward = EVAL_BATCH // 2
     worst = worst_rel = 0.0
     for done in range(0, n_trials, per_forward):
         trials = min(per_forward, n_trials - done)
-        draws = [[rng.normal(size=(batch, *shape[1:])) for shape in full.input_shapes]
+        draws = [[rng.normal(size=(2, *shape[1:])) for shape in full.input_shapes]
                  for _ in range(trials)]
         xs = [np.concatenate(arrays) for arrays in zip(*draws)]
         y_full, _ = forward(full, xs, mode="eval")

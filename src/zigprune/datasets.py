@@ -134,15 +134,24 @@ def _read_label_pixel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     labels = []
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             try:
                 label = int(row[0])
             except ValueError:
                 continue  # header row
+            where = f"{path}, line {reader.line_num}"
+            try:
+                pixels = [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise ConfigError(f"{where}: a pixel is not a number ({exc})") from None
+            if rows and len(pixels) != len(rows[0]):
+                raise ConfigError(f"{where}: {len(pixels)} pixels, but the first "
+                                  f"row has {len(rows[0])}")
             labels.append(label)
-            rows.append([float(v) for v in row[1:]])
+            rows.append(pixels)
     x = np.asarray(rows, dtype=float)
     return x, np.asarray(labels, dtype=int)
 

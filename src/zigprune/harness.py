@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import os
@@ -77,9 +78,10 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
         cfg = ExperimentConfig(optimizer=OptimizerConfig(**opt_doc), **doc)
-        trials = cfg.equivalence_trials
-        if type(trials) is not int or trials < 1:
-            raise ConfigError(f"equivalence_trials must be an integer >= 1, got {trials!r}")
+        for name in ("batch_size", "equivalence_trials"):
+            value = getattr(cfg, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         return cfg
 
     @staticmethod
@@ -88,7 +90,11 @@ class ExperimentConfig:
             cfg = ExperimentConfig.from_doc(json.load(fh))
         env_seed = os.environ.get("ZIGPRUNE_SEED")
         if env_seed is not None:
-            cfg.seed = int(env_seed)
+            try:
+                cfg.seed = int(env_seed)
+            except ValueError:
+                raise ConfigError(
+                    f"ZIGPRUNE_SEED must be an integer, got {env_seed!r}") from None
         return cfg
 
     def to_doc(self) -> dict:
@@ -139,9 +145,15 @@ def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> Class
     spec = dict(cfg.dataset)
     kind = spec.pop("kind", None)
     if kind == "synthetic-classification":
+        known = set(inspect.signature(gen_synthetic_classification).parameters) - {"seed"}
+        unknown = set(spec) - known
+        if unknown:
+            raise ConfigError(f"unknown synthetic-classification keys: {sorted(unknown)}")
         seed = int(rng_data.integers(1 << 31))
         data = gen_synthetic_classification(seed=seed, **spec)
     elif kind == "image-csv":
+        if "dir" not in spec:
+            raise ConfigError("an image-csv dataset needs 'dir'")
         data = load_image_csv(spec["dir"])
     else:
         raise ConfigError(f"dataset kind {kind!r} is not trainable by the graph "
@@ -176,10 +188,10 @@ def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
                    frozen_ids: list[int]):
     """A copy of g without the given groups, to train on in g's place.
 
-    Returns (copy, channel maps, keep): keep[i] is the position in the full
-    flat vector of coordinate i of the copy's. Writes the iterate x into g,
-    so g and the copy hold it. Raises AllGroupsZeroInComponent, leaving g
-    as it was, when the groups would empty a component.
+    Returns (copy, channel maps, keep, the copy's ParamIndex): keep[i] is
+    the position in the full flat vector of coordinate i of the copy's. g
+    and the copy then hold the iterate x. Raises AllGroupsZeroInComponent,
+    leaving g as it was, when the groups would empty a component.
     """
     mask = make_mask(part, frozen_ids)
     maps = build_channel_maps(g, part, mask)
@@ -187,11 +199,13 @@ def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
     # of the survivors, in the copy's layout.
     index.scatter(g, np.arange(index.size, dtype=float))
     try:
-        tags = prune(g, mask, maps)
+        small = prune(g, mask, maps)
     finally:
         index.scatter(g, x)
-    small = prune(g, mask, maps)
-    return small, maps, ParamIndex(small).gather(tags).astype(np.intp)
+    small_index = ParamIndex(small)
+    keep = small_index.gather(small).astype(np.intp)
+    small_index.scatter(small, x[keep])
+    return small, maps, keep, small_index
 
 
 def _write_back_running_stats(g, small, maps: dict[int, list[int]]) -> None:
@@ -235,8 +249,7 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
                          steps_per_epoch=steps_per_epoch,
                          group_components=group_comps,
                          group_costs=group_flops_savings(g, part))
-    small, maps, keep = _narrowed_copy(g, part, index, opt.x, [])
-    small_index = ParamIndex(small)
+    small, maps, keep, small_index = _narrowed_copy(g, part, index, opt.x, [])
     train_flops = count_flops_params(small)[0]
     n_frozen = 0
     rows = []
@@ -247,12 +260,10 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
             n_frozen = len(frozen)
             _write_back_running_stats(g, small, maps)
             try:
-                small, maps, keep = _narrowed_copy(g, part, index, opt.x, frozen)
+                small, maps, keep, small_index = _narrowed_copy(g, part, index, opt.x, frozen)
             except AllGroupsZeroInComponent:
                 pass  # train on at the current width; surgery reports it
-            else:
-                small_index = ParamIndex(small)
-                train_flops = count_flops_params(small)[0]
+            train_flops = count_flops_params(small)[0]
         running = 0.0
         seen = 0
         for idx in minibatches(n_train, cfg.batch_size, rng_batches):

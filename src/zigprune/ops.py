@@ -73,6 +73,11 @@ def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(N, C, Ho, Wo, k, k) view of the k x k windows of x at ``stride``."""
+    return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     """Patches as (N, C*k*k, Ho*Wo) columns, so ``weight @ cols`` is the conv
     output already in NCHW order. Row c*k*k + i*k + j of image n holds input
@@ -80,21 +85,21 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = _windows(x, k, stride)
     ho, wo = win.shape[2], win.shape[3]
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * k * k, ho * wo), ho, wo
 
 
-def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int, ho: int, wo: int):
-    """Scatter-add (N, C*k*k, Ho*Wo) column gradients back onto the input:
-    one strided (N, C, Ho, Wo) slice per kernel offset."""
+def _col2im(dwin: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
+    """Scatter-add window gradients shaped (N, C, k, k, Ho, Wo) back onto the
+    input: one strided (N, C, Ho, Wo) slice per kernel offset."""
     n, c, h, w = x_shape
+    k, ho, wo = dwin.shape[3:]
     dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    d = dcols.reshape(n, c, k, k, ho, wo)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += d[:, :, i, j]
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dwin[:, :, i, j]
     if pad:
         return dxp[:, :, pad:pad + h, pad:pad + w]
     return dxp
@@ -106,18 +111,12 @@ def _conv_columns(in_map: list[int], kernel: int) -> np.ndarray:
         if in_map else np.empty(0, dtype=int)
 
 
-def _pool_windows(x: np.ndarray, k: int, stride: int):
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win  # (n, c, ho, wo, k, k)
-
-
-def _pool_scatter(dwin: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int):
-    """Scatter-add per-window gradients (n, c, ho, wo, k, k) onto the input."""
-    dx = np.zeros(x_shape)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dwin[:, :, :, :, i, j]
-    return dx
+def _narrow_stem(params: ParameterSet, keep_rows: list[int], cols) -> None:
+    """Keep the weight's rows ``keep_rows`` and columns ``cols``, and the
+    bias at ``keep_rows``."""
+    params.weight = params.weight[np.ix_(keep_rows, cols)]
+    if params.bias is not None:
+        params.bias = params.bias[keep_rows]
 
 
 def _tiles(kind, x_shape) -> bool:
@@ -177,9 +176,9 @@ class OpKind:
         None instead."""
         return [dout]
 
-    def narrow(self, params, keep_rows: Optional[list[int]], in_map: Optional[list[int]]):
-        """(kind, params) keeping output rows ``keep_rows`` (None: all) and the
-        input channels ``in_map`` (None: all); ``params`` is a private copy."""
+    def narrow(self, params, keep_rows: list[int], in_map: Optional[list[int]]):
+        """(kind, params) keeping output rows ``keep_rows`` and the input
+        channels ``in_map`` (None: all); ``params`` is a private copy."""
         return self, params
 
 
@@ -234,7 +233,7 @@ class Conv2d(OpKind):
         if params.bias is not None:
             out += params.bias[:, None]
         out = out.reshape(x.shape[0], self.out_channels, ho, wo)
-        return out, {"cols": cols, "x_shape": x.shape, "ho": ho, "wo": wo}
+        return out, {"cols": cols, "x_shape": x.shape}
 
     def backward(self, params, cache, dout, grads, need_dx=True):
         d3 = dout.reshape(dout.shape[0], self.out_channels, -1)
@@ -243,19 +242,15 @@ class Conv2d(OpKind):
             grads["bias"] += d3.sum(axis=(0, 2))
         if not need_dx:
             return None
-        dx = _col2im(params.weight.T @ d3, cache["x_shape"], self.kernel, self.stride,
-                     self.padding, cache["ho"], cache["wo"])
-        return [dx]
+        n, _, ho, wo = dout.shape
+        k = self.kernel
+        dwin = (params.weight.T @ d3).reshape(n, self.in_channels, k, k, ho, wo)
+        return [_col2im(dwin, cache["x_shape"], self.stride, self.padding)]
 
     def narrow(self, params, keep_rows, in_map):
-        if keep_rows is None:
-            keep_rows = list(range(self.out_channels))
         if in_map is None:
             in_map = list(range(self.in_channels))
-        cols = _conv_columns(in_map, self.kernel)
-        params.weight = params.weight[np.ix_(keep_rows, cols)]
-        if params.bias is not None:
-            params.bias = params.bias[keep_rows]
+        _narrow_stem(params, keep_rows, _conv_columns(in_map, self.kernel))
         return replace(self, in_channels=len(in_map), out_channels=len(keep_rows)), params
 
 
@@ -308,13 +303,9 @@ class Linear(OpKind):
         return [dout @ params.weight]
 
     def narrow(self, params, keep_rows, in_map):
-        if keep_rows is None:
-            keep_rows = list(range(self.out_features))
         if in_map is None:
             in_map = list(range(self.in_features))
-        params.weight = params.weight[np.ix_(keep_rows, in_map)]
-        if params.bias is not None:
-            params.bias = params.bias[keep_rows]
+        _narrow_stem(params, keep_rows, in_map)
         return replace(self, in_features=len(in_map), out_features=len(keep_rows)), params
 
 
@@ -448,20 +439,18 @@ class MaxPool(_Pool):
 
     def forward(self, params, xs, mode, src=None, cols_memo=None):
         x, = xs
-        win = _pool_windows(x, self.kernel, self.stride)
-        n, c, ho, wo = win.shape[:4]
-        flat = win.reshape(n, c, ho, wo, -1)
+        win = _windows(x, self.kernel, self.stride)
+        flat = win.reshape(*win.shape[:4], -1)
         arg = flat.argmax(axis=-1)
         out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        return out, {"arg": arg, "x_shape": x.shape, "ho": ho, "wo": wo}
+        return out, {"arg": arg, "x_shape": x.shape}
 
     def backward(self, params, cache, dout, grads, need_dx=True):
-        n, c, ho, wo = dout.shape
-        kk = self.kernel * self.kernel
-        onehot = np.zeros((n, c, ho, wo, kk))
-        np.put_along_axis(onehot, cache["arg"][..., None], 1.0, axis=-1)
-        dwin = (onehot * dout[..., None]).reshape(n, c, ho, wo, self.kernel, self.kernel)
-        return [_pool_scatter(dwin, cache["x_shape"], self.kernel, self.stride, ho, wo)]
+        k = self.kernel
+        dwin = np.zeros((*dout.shape, k * k))
+        np.put_along_axis(dwin, cache["arg"][..., None], dout[..., None], axis=-1)
+        dwin = dwin.reshape(*dout.shape, k, k).transpose(0, 1, 4, 5, 2, 3)
+        return [_col2im(dwin, cache["x_shape"], self.stride, 0)]
 
 
 @dataclass(frozen=True)
@@ -479,8 +468,8 @@ class AvgPool(_Pool):
                         out += x[:, :, i::k, j::k]
             out /= k * k
         else:
-            out = _pool_windows(x, k, self.stride).mean(axis=(-2, -1))
-        return out, {"x_shape": x.shape, "ho": out.shape[2], "wo": out.shape[3]}
+            out = _windows(x, k, self.stride).mean(axis=(-2, -1))
+        return out, {"x_shape": x.shape}
 
     def backward(self, params, cache, dout, grads, need_dx=True):
         n, c, ho, wo = dout.shape
@@ -492,8 +481,8 @@ class AvgPool(_Pool):
             wide = np.repeat(dout / (k * k), k, axis=3)
             tiled = np.broadcast_to(wide[:, :, :, None, :], (n, c, ho, k, wo * k))
             return [tiled.reshape(cache["x_shape"])]
-        dwin = np.broadcast_to((dout / (k * k))[..., None, None], (n, c, ho, wo, k, k))
-        return [_pool_scatter(dwin, cache["x_shape"], self.kernel, self.stride, ho, wo)]
+        dwin = np.broadcast_to((dout / (k * k))[:, :, None, None], (n, c, k, k, ho, wo))
+        return [_col2im(dwin, cache["x_shape"], self.stride, 0)]
 
 
 @dataclass(frozen=True)

@@ -144,3 +144,22 @@ def test_train_rejects_equivalence_trials_below_one(tmp_path, trials, capsys):
     assert main(["train", str(path)]) == 2
     assert "equivalence_trials" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("doc, env_seed, needle", [
+    ({}, "1.5", "ZIGPRUNE_SEED"),
+    ({"batch_size": 0}, None, "batch_size"),
+    ({"dataset": {"kind": "synthetic-classification", "n_trian": 64}}, None, "n_trian"),
+    ({"dataset": {"kind": "image-csv"}}, None, "'dir'"),
+], ids=["seed", "batch_size", "synthetic_key", "csv_dir"])
+def test_train_rejects_bad_outside_config(tmp_path, monkeypatch, capsys, doc, env_seed,
+                                          needle):
+    if env_seed is None:
+        monkeypatch.delenv("ZIGPRUNE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ZIGPRUNE_SEED", env_seed)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}),
+                    encoding="utf-8")
+    assert main(["train", str(path)]) == 2
+    assert needle in capsys.readouterr().err

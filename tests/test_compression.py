@@ -311,7 +311,7 @@ def test_equivalence_fails_on_nan_output():
     assert np.isnan(report["max_abs_diff"]) and not report["passed"]
 
 
-@pytest.mark.parametrize("bad", [{"n_trials": 0}, {"n_trials": -1}, {"batch": 0}])
+@pytest.mark.parametrize("bad", [{"n_trials": 0}, {"n_trials": -1}])
 def test_equivalence_rejects_empty_trials(bad):
     g = demo_net(seed=1)
     small, _ = compress(g, partition(g))

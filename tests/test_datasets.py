@@ -91,6 +91,18 @@ def test_image_csv_without_samples_is_a_config_error(tmp_path):
         load_image_csv(str(tmp_path))
 
 
+@pytest.mark.parametrize("bad_row, needle", [
+    ("1,1,2,3", "3 pixels, but the first row has 4"),
+    ("1,1,2,x,4", "a pixel is not a number"),
+], ids=["ragged", "not_a_number"])
+def test_image_csv_with_a_malformed_row_is_a_config_error(tmp_path, bad_row, needle):
+    (tmp_path / "train.csv").write_text(f"label,p0,p1,p2,p3\n0,1,2,3,4\n{bad_row}\n",
+                                        encoding="utf-8")
+    (tmp_path / "test.csv").write_text("0,1,2,3,4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"train.csv, line 3: {needle}"):
+        load_image_csv(str(tmp_path))
+
+
 def test_minibatches_cover_everything_once():
     rng = np.random.default_rng(2)
     idx = np.concatenate(list(minibatches(103, 20, rng)))

@@ -239,3 +239,30 @@ def test_sgd_run_is_bit_identical_to_full_width(monkeypatch):
             assert np.array_equal(vx.params.running_var, ref.g.vertices[vid].params.running_var)
     assert [r["test_loss"] for r in new.rows] == [r["test_loss"] for r in ref.rows]
     assert {r["train_flops"] for r in new.rows} == {count_flops_params(new.g)[0]}
+
+
+def test_narrowed_copy_prunes_once(monkeypatch):
+    """A rebuild prunes g once, with each coordinate tagged by its flat
+    position; the copy then takes x[keep], and g is left holding x."""
+    g = demo_net(seed=5)
+    part = partition(g)
+    index = ParamIndex(g)
+    x = np.random.default_rng(6).normal(size=index.size)
+    frozen = [i for i, z in enumerate(part.zigs)
+              if z.group_index == 0 and part.widths[z.component_id] > 1]
+    calls = []
+    prune = harness.prune
+
+    def counting_prune(*args):
+        calls.append(args)
+        return prune(*args)
+
+    monkeypatch.setattr(harness, "prune", counting_prune)
+    result = harness._narrowed_copy(g, part, index, x, frozen)
+    assert len(calls) == 1
+    small, maps, keep, small_index = result
+    assert np.array_equal(small_index.gather(small), x[keep])
+    assert np.array_equal(index.gather(g), x)
+    want = prune(g, make_mask(part, frozen), maps)
+    assert np.array_equal(ParamIndex(want).gather(want), x[keep])
+    assert count_flops_params(small)[0] < count_flops_params(g)[0]
