@@ -274,7 +274,13 @@ def test_unknown_op_not_executable():
 
 def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
                             mode="train"):
-    """Central differences on random parameter coordinates."""
+    """Central differences on random parameter coordinates.
+
+    Returns the worst relative difference, ``|numeric - analytic|`` over
+    ``max(|numeric|, |analytic|)``, over the coordinates whose difference
+    exceeds the central difference's own rounding error,
+    ``eps * max(|f+|, |f-|) / h``. A coordinate within that error (a true
+    gradient of 0, say) counts as 0."""
     rng = np.random.default_rng(seed)
     xs = [rng.normal(size=(batch, *s[1:])) for s in g.input_shapes]
     out, cache = forward(g, xs, mode=mode)
@@ -300,8 +306,10 @@ def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
                 f_minus = evaluate_loss(out_p, loss, targets)
         index.scatter(g, base)
         numeric = (f_plus - f_minus) / (2 * h)
-        denom = max(abs(numeric), abs(flat_grad[c]), 1e-8)
-        worst = max(worst, abs(numeric - flat_grad[c]) / denom)
+        diff = abs(numeric - flat_grad[c])
+        rounding = np.finfo(float).eps * max(abs(f_plus), abs(f_minus)) / h
+        if diff > rounding:
+            worst = max(worst, diff / max(abs(numeric), abs(flat_grad[c])))
     return worst
 
 
