@@ -1,5 +1,6 @@
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from zigprune.engine import _loss_and_grad, accuracy, backward, evaluate_loss, f
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
 from zigprune.harness import evaluate_graph
-from zigprune.ops import Add, AvgPool, Mul, ReLU
+from zigprune.ops import BN_BLOCK, Add, AvgPool, BatchNorm, Mul, ReLU, _sample_blocks
 from zigprune.paramvec import ParamIndex
 
 
@@ -633,3 +634,75 @@ def test_folded_batchnorm_matches_two_pass_oracle(shape):
     dx, = vx.kind.backward(vx.params, vcache, d, grads)
     for got, ref in zip((out, dx, grads["gamma"], grads["beta"]), want):
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def three_pass_batchnorm(x, d, gamma, beta, running_mean, running_var):
+    """Train-mode BatchNorm as the engine computed it before sample blocks:
+    full-size einsum sums, ``(x - mean) * (gamma * inv_std) + beta`` in three
+    passes, and ``dx = a * d + c2 * x + c3`` with a full-size ``c2 * x``.
+    Returns (out, dx, dgamma, dbeta, running_mean, running_var)."""
+    x3 = x.reshape(x.shape[0], x.shape[1], -1)
+    d3 = d.reshape(x3.shape)
+    m = x3.shape[0] * x3.shape[2]
+    mean = np.einsum("ncs->c", x3) / m
+    var = np.maximum(np.einsum("ncs,ncs->c", x3, x3) / m - mean * mean, 0.0)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    out = (x3 - mean[:, None]) * (gamma * inv_std)[:, None] + beta[:, None]
+    sum_d = np.einsum("ncs->c", d3)
+    sum_dxhat = (np.einsum("ncs,ncs->c", d3, x3) - mean * sum_d) * inv_std
+    scale = gamma * inv_std
+    c2 = -(scale / m) * sum_dxhat * inv_std
+    c3 = -(scale / m) * sum_d - c2 * mean
+    dx = d3 * scale[:, None] + c2[:, None] * x3 + c3[:, None]
+    return (out.reshape(x.shape), dx.reshape(x.shape), sum_dxhat, sum_d,
+            0.9 * running_mean + 0.1 * mean, 0.9 * running_var + 0.1 * var)
+
+
+# (shape, number of sample blocks): a partial last block in 2-D and 4-D, a
+# batch inside one block, C*S above BN_BLOCK (one sample per block), batch 1.
+BLOCK_CASES = [((5000, 8), 2), ((20, 8, 16, 16), 2), ((6, 3, 4, 5), 1),
+               ((3, 4, 96, 96), 3), ((1, 5, 4, 4), 1)]
+
+
+@pytest.mark.parametrize("shape,n_blocks", BLOCK_CASES)
+def test_blocked_batchnorm_matches_three_pass_oracle(shape, n_blocks):
+    n, c = shape[:2]
+    row = int(np.prod(shape[1:]))
+    blocks = _sample_blocks(n, row)
+    assert len(blocks) == n_blocks
+    assert all(b.stop - b.start == max(1, BN_BLOCK // row) for b in blocks)
+    rng = np.random.default_rng(32)
+    bshape = (1, c) + (1,) * (len(shape) - 2)
+    x = rng.normal(size=c).reshape(bshape) \
+        + rng.uniform(0.5, 2.0, c).reshape(bshape) * rng.normal(size=shape)
+    d = rng.normal(size=shape)
+    g = graph_of(shape, [{"op": "batch_norm", "channels": c}], [], seed=33)
+    vx = randomize_bn(g, 34).vertices[0]
+    p = vx.params
+    want = three_pass_batchnorm(x, d, p.gamma, p.beta, p.running_mean, p.running_var)
+    out, vcache = vx.kind.forward(p, [x], "train")
+    grads = {"gamma": np.zeros(c), "beta": np.zeros(c)}
+    dx, = vx.kind.backward(p, vcache, d, grads)
+    got = (out, dx, grads["gamma"], grads["beta"], p.running_mean, p.running_var)
+    for name, a, b in zip(("out", "dx", "gamma", "beta", "mean", "var"), got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+
+
+def test_train_batchnorm_backward_allocates_one_full_size_array():
+    """dx is the backward's only full-size allocation: c2 * x goes through
+    one block-sized temporary."""
+    shape = (128, 32, 16, 16)
+    kind = BatchNorm(channels=32)
+    p = kind.default_params()
+    rng = np.random.default_rng(35)
+    x, d = rng.normal(size=shape), rng.normal(size=shape)
+    _, vcache = kind.forward(p, [x], "train")
+    grads = {"gamma": np.zeros(32), "beta": np.zeros(32)}
+    tracemalloc.start()
+    try:
+        dx, = kind.backward(p, vcache, d, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= dx.nbytes + 2 ** 20, f"peak {peak} bytes for a {dx.nbytes}-byte dx"
