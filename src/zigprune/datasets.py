@@ -131,18 +131,20 @@ def gen_synthetic_classification(seed: int, n_train: int = 8000,
 # ---------------------------------------------------------------------------
 
 def _read_label_pixel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of label,pixel...; the first non-empty row is a header when its
+    label is not an integer."""
     labels = []
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
+        for i, row in enumerate(row for row in reader if row):
+            where = f"{path}, line {reader.line_num}"
             try:
                 label = int(row[0])
             except ValueError:
-                continue  # header row
-            where = f"{path}, line {reader.line_num}"
+                if i == 0:
+                    continue  # header row
+                raise ConfigError(f"{where}: label {row[0]!r} is not an integer") from None
             try:
                 pixels = [float(v) for v in row[1:]]
             except ValueError as exc:

@@ -78,10 +78,9 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
         cfg = ExperimentConfig(optimizer=OptimizerConfig(**opt_doc), **doc)
-        for name in ("batch_size", "equivalence_trials"):
-            value = getattr(cfg, name)
-            if type(value) is not int or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name, low in (("batch_size", 1), ("equivalence_trials", 1),
+                          ("epochs", 0), ("seed", 0)):
+            _check_int(name, getattr(cfg, name), low)
         return cfg
 
     @staticmethod
@@ -95,11 +94,17 @@ class ExperimentConfig:
             except ValueError:
                 raise ConfigError(
                     f"ZIGPRUNE_SEED must be an integer, got {env_seed!r}") from None
+            _check_int("ZIGPRUNE_SEED", cfg.seed, 0)
         return cfg
 
     def to_doc(self) -> dict:
         doc = dataclasses.asdict(self)
         return doc
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def resolve_target_groups(part: PartitionResult, cfg: ExperimentConfig) -> int:
@@ -135,7 +140,10 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
         init_params(g, rng_params)
         return g
     if "path" in spec:
-        return infer_shapes(load_graph(spec["path"]))
+        try:
+            return infer_shapes(load_graph(spec["path"]))
+        except OSError as exc:
+            raise ConfigError(f"cannot read graph {spec['path']!r}: {exc.strerror}") from None
     raise ConfigError("graph spec needs 'builder' or 'path'")
 
 
@@ -149,6 +157,9 @@ def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> Class
         unknown = set(spec) - known
         if unknown:
             raise ConfigError(f"unknown synthetic-classification keys: {sorted(unknown)}")
+        for name in ("n_train", "n_test"):
+            if name in spec:
+                _check_int(name, spec[name], 0)
         seed = int(rng_data.integers(1 << 31))
         data = gen_synthetic_classification(seed=seed, **spec)
     elif kind == "image-csv":

@@ -146,12 +146,27 @@ def test_train_rejects_equivalence_trials_below_one(tmp_path, trials, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_train_accepts_zero_epochs(tmp_path, monkeypatch):
+    monkeypatch.delenv("ZIGPRUNE_SEED", raising=False)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "epochs": 0, "equivalence_trials": 4, "output_dir": str(tmp_path / "run"),
+        "dataset": {"kind": "synthetic-classification", "n_train": 32, "n_test": 16},
+    }), encoding="utf-8")
+    assert main(["train", str(path)]) == 0
+
+
 @pytest.mark.parametrize("doc, env_seed, needle", [
     ({}, "1.5", "ZIGPRUNE_SEED"),
     ({"batch_size": 0}, None, "batch_size"),
     ({"dataset": {"kind": "synthetic-classification", "n_trian": 64}}, None, "n_trian"),
     ({"dataset": {"kind": "image-csv"}}, None, "'dir'"),
-], ids=["seed", "batch_size", "synthetic_key", "csv_dir"])
+    ({"seed": 1.5}, None, "seed"),
+    ({"epochs": "3"}, None, "epochs"),
+    ({"dataset": {"kind": "synthetic-classification", "n_train": -5}}, None, "n_train"),
+    ({"graph": {"path": "no_such_graph.json"}}, None, "no_such_graph.json"),
+], ids=["seed", "batch_size", "synthetic_key", "csv_dir", "config_seed", "epochs",
+        "negative_n_train", "graph_path"])
 def test_train_rejects_bad_outside_config(tmp_path, monkeypatch, capsys, doc, env_seed,
                                           needle):
     if env_seed is None:

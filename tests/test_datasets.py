@@ -84,6 +84,17 @@ def test_image_csv_loader(tmp_path):
     assert data.x_train.max() <= 1.0
 
 
+def test_image_csv_header_is_only_the_first_non_empty_row(tmp_path):
+    (tmp_path / "train.csv").write_text("\nlabel,p0,p1,p2,p3\n0,1,2,3,4\n\n1,4,3,2,1\n",
+                                        encoding="utf-8")
+    (tmp_path / "test.csv").write_text("2,1,2,3,4\n", encoding="utf-8")
+    data = load_image_csv(str(tmp_path))
+    assert data.y_train.tolist() == [0, 1] and data.y_test.tolist() == [2]
+    (tmp_path / "test.csv").write_text("2,1,2,3,4\nlabel,p0,p1,p2,p3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="test.csv, line 2: label 'label'"):
+        load_image_csv(str(tmp_path))
+
+
 def test_image_csv_without_samples_is_a_config_error(tmp_path):
     (tmp_path / "train.csv").write_text("label,p0,p1,p2,p3\n0,1,2,3,4\n", encoding="utf-8")
     (tmp_path / "test.csv").write_text("label,p0,p1,p2,p3\n", encoding="utf-8")
@@ -94,7 +105,9 @@ def test_image_csv_without_samples_is_a_config_error(tmp_path):
 @pytest.mark.parametrize("bad_row, needle", [
     ("1,1,2,3", "3 pixels, but the first row has 4"),
     ("1,1,2,x,4", "a pixel is not a number"),
-], ids=["ragged", "not_a_number"])
+    ("cat,1,2,3,4", "label 'cat' is not an integer"),
+    ("1.0,1,2,3,4", "label '1.0' is not an integer"),
+], ids=["ragged", "not_a_number", "word_label", "float_label"])
 def test_image_csv_with_a_malformed_row_is_a_config_error(tmp_path, bad_row, needle):
     (tmp_path / "train.csv").write_text(f"label,p0,p1,p2,p3\n0,1,2,3,4\n{bad_row}\n",
                                         encoding="utf-8")
