@@ -142,8 +142,8 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
     if "path" in spec:
         try:
             return infer_shapes(load_graph(spec["path"]))
-        except OSError as exc:
-            raise ConfigError(f"cannot read graph {spec['path']!r}: {exc.strerror}") from None
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read graph {spec['path']!r}: {exc}") from None
     raise ConfigError("graph spec needs 'builder' or 'path'")
 
 

@@ -178,3 +178,13 @@ def test_train_rejects_bad_outside_config(tmp_path, monkeypatch, capsys, doc, en
                     encoding="utf-8")
     assert main(["train", str(path)]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_train_rejects_a_graph_file_that_is_not_json(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text("not json", encoding="utf-8")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"graph": {"path": str(graph)},
+                                "output_dir": str(tmp_path / "run")}), encoding="utf-8")
+    assert main(["train", str(path)]) == 2
+    assert "graph.json" in capsys.readouterr().err
