@@ -141,9 +141,10 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
         return g
     if "path" in spec:
         try:
-            return infer_shapes(load_graph(spec["path"]))
+            g = load_graph(spec["path"])
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read graph {spec['path']!r}: {exc}") from None
+        return infer_shapes(g)
     raise ConfigError("graph spec needs 'builder' or 'path'")
 
 
