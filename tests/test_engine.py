@@ -10,7 +10,7 @@ from zigprune.engine import _loss_and_grad, accuracy, backward, evaluate_loss, f
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
 from zigprune.harness import evaluate_graph
-from zigprune.ops import BN_BLOCK, Add, AvgPool, BatchNorm, Mul, ReLU, _sample_blocks
+from zigprune.ops import Add, AvgPool, BatchNorm, Mul, ReLU, _sample_blocks
 from zigprune.paramvec import ParamIndex
 
 
@@ -668,9 +668,7 @@ BLOCK_CASES = [((5000, 8), 2), ((20, 8, 16, 16), 2), ((6, 3, 4, 5), 1),
 def test_blocked_batchnorm_matches_three_pass_oracle(shape, n_blocks):
     n, c = shape[:2]
     row = int(np.prod(shape[1:]))
-    blocks = _sample_blocks(n, row)
-    assert len(blocks) == n_blocks
-    assert all(b.stop - b.start == max(1, BN_BLOCK // row) for b in blocks)
+    assert len(_sample_blocks(n, row)) == n_blocks
     rng = np.random.default_rng(32)
     bshape = (1, c) + (1,) * (len(shape) - 2)
     x = rng.normal(size=c).reshape(bshape) \
