@@ -17,7 +17,7 @@ from .compression import (
     prune,
     verify_equivalence,
 )
-from .dhspg import DhspgOptimizer, OptimizerConfig, lambda_interval
+from .dhspg import DhspgOptimizer, OptimizerConfig
 from .engine import accuracy, backward, evaluate_loss, forward
 from .harness import ExperimentConfig, run_ablation_dhspg_vs_hspg, run_pipeline, run_runtime_bench
 from .paramvec import ParamIndex

@@ -72,14 +72,6 @@ class OptimizerConfig:
             raise ConfigError("target_zero_groups must be nonnegative")
 
 
-def lambda_interval(cos_theta: float, grad_norm: float):
-    """Admissible penalty interval (lo, hi), or None when any positive value
-    keeps the direction inside both half-spaces (cos_theta >= 0)."""
-    if cos_theta >= 0.0:
-        return None
-    return -cos_theta * grad_norm, -grad_norm / cos_theta
-
-
 def choose_penalty(cos_theta, grad_norm, default_penalty: float, amplify: float):
     """Per group: the default where cos_theta >= 0, else amplify times the
     interval's low end, capped at its high end. Scalars or arrays."""

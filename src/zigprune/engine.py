@@ -85,7 +85,7 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
     xs = _as_batch_list(g, inputs)
     acts: dict[int, np.ndarray] = {}
     vcaches: dict[int, dict] = {}
-    cols_memo: dict = {}
+    memo: dict = {}
     for vid in g.topo_order:
         if vid in g.input_binding:
             src = ("input", g.input_binding[vid])
@@ -94,7 +94,7 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
             src = g.preds[vid][0]
             vin = [acts[p] for p in g.preds[vid]]
         vx = g.vertices[vid]
-        acts[vid], vcaches[vid] = vx.kind.forward(vx.params, vin, mode, src, cols_memo)
+        acts[vid], vcaches[vid] = vx.kind.forward(vx.params, vin, mode, src, memo)
     out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
     cache = {"acts": acts, "vcaches": vcaches, "mode": mode, "out_id": out_id}
     return acts[out_id], cache
@@ -149,13 +149,14 @@ def backward(g: ComputationGraph, cache, loss: str, targets):
     value, dout = _loss_and_grad(out, loss, targets)
     grads = zero_gradients(g)
     dacts: dict[int, np.ndarray] = {cache["out_id"]: dout}
+    memo: dict = {}
     for vid in reversed(g.topo_order):
         if vid not in dacts:
             continue  # dead-end vertex: no path to the loss
         bound = vid in g.input_binding
         vx = g.vertices[vid]
         dins = vx.kind.backward(vx.params, cache["vcaches"][vid], dacts.pop(vid),
-                                grads.get(vid, {}), need_dx=not bound)
+                                grads.get(vid, {}), need_dx=not bound, memo=memo)
         if bound:
             continue
         for p, d in zip(g.preds[vid], dins):

