@@ -189,8 +189,8 @@ def verify_equivalence(full: ComputationGraph, compressed: ComputationGraph,
         draws = [[rng.normal(size=(2, *shape[1:])) for shape in full.input_shapes]
                  for _ in range(trials)]
         xs = [np.concatenate(arrays) for arrays in zip(*draws)]
-        y_full, _ = forward(full, xs, mode="eval")
-        y_small, _ = forward(compressed, xs, mode="eval")
+        y_full = forward(full, xs, mode="eval")[0]
+        y_small = forward(compressed, xs, mode="eval")[0]
         if y_full.shape != y_small.shape:
             return {"n_trials": n_trials, "tol": tol, "max_abs_diff": float("inf"),
                     "max_rel_diff": float("inf"), "passed": False}

@@ -79,10 +79,20 @@ def _as_batch_list(g: ComputationGraph, inputs) -> list[np.ndarray]:
 
 
 def forward(g: ComputationGraph, inputs, mode: str = "train"):
-    """Evaluate the graph; returns (output array, cache for backward)."""
+    """Evaluate the graph; returns (output array, cache for backward).
+
+    A vertex's output is dropped as soon as the last of its consumers has
+    run, counting one consumer per edge, and a dead-end vertex's at once; the
+    graph output is kept. The cache holds the output and each op's own
+    cache, which keeps whatever that op's backward reads, so an activation
+    no op cache references is freed during the pass.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     xs = _as_batch_list(g, inputs)
+    out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
+    pending = {vid: len(succs) for vid, succs in g.succs.items()}
+    pending[out_id] += 1  # so the output is never dropped
     acts: dict[int, np.ndarray] = {}
     vcaches: dict[int, dict] = {}
     memo: dict = {}
@@ -93,11 +103,17 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
         else:
             src = g.preds[vid][0]
             vin = [acts[p] for p in g.preds[vid]]
+            for p in g.preds[vid]:
+                pending[p] -= 1
+                if not pending[p]:
+                    del acts[p]
         vx = g.vertices[vid]
         acts[vid], vcaches[vid] = vx.kind.forward(vx.params, vin, mode, src, memo)
-    out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
-    cache = {"acts": acts, "vcaches": vcaches, "mode": mode, "out_id": out_id}
-    return acts[out_id], cache
+        del vin
+        if not pending[vid]:
+            del acts[vid]
+    out = acts.pop(out_id)
+    return out, {"out": out, "vcaches": vcaches, "mode": mode, "out_id": out_id}
 
 
 def _loss_terms(out: np.ndarray, loss: str, targets):
@@ -145,10 +161,13 @@ def backward(g: ComputationGraph, cache, loss: str, targets):
     through the batch statistics, on an eval-mode cache through its fixed
     running statistics.
     """
-    out = cache["acts"][cache["out_id"]]
-    value, dout = _loss_and_grad(out, loss, targets)
+    value, dout = _loss_and_grad(cache["out"], loss, targets)
     grads = zero_gradients(g)
     dacts: dict[int, np.ndarray] = {cache["out_id"]: dout}
+    # Vertices whose pending gradient the pass may add into in place: it came
+    # from a kind whose backward returns arrays nothing else holds, or from a
+    # sum made here. Any other array may also be another vertex's gradient.
+    owned: set[int] = set()
     memo: dict = {}
     for vid in reversed(g.topo_order):
         if vid not in dacts:
@@ -160,10 +179,15 @@ def backward(g: ComputationGraph, cache, loss: str, targets):
         if bound:
             continue
         for p, d in zip(g.preds[vid], dins):
-            if p in dacts:
-                dacts[p] = dacts[p] + d
-            else:
+            if p not in dacts:
                 dacts[p] = d
+                if vx.kind.fresh_dx:
+                    owned.add(p)
+            elif p in owned:
+                dacts[p] += d
+            else:
+                dacts[p] = dacts[p] + d
+                owned.add(p)
     return value, grads
 
 

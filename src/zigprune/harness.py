@@ -189,7 +189,7 @@ def evaluate_graph(g, x, y, loss: str, batch: int = EVAL_BATCH):
     for lo in range(0, n, batch):
         xs = x[lo:lo + batch]
         ys = y[lo:lo + batch]
-        out, _ = forward(g, xs, mode="eval")
+        out = forward(g, xs, mode="eval")[0]
         total_loss += evaluate_loss(out, loss, ys) * len(xs)
         if loss == "cross_entropy":
             hits += accuracy(out, ys) * len(xs)

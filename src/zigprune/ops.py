@@ -28,7 +28,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 # Train-mode BatchNorm works on blocks of whole samples of about this many
 # doubles (256 KiB), so that a block of x, its output and one temporary stay
-# together in a core's 4 MiB L2 cache between passes.
+# together in a core's 2 MiB L2 cache between passes.
 BN_BLOCK = 32768
 
 TRAINABLE_ROLES = ("weight", "bias", "gamma", "beta")
@@ -183,10 +183,15 @@ def _numel(out_shape) -> int:
 class OpKind:
     """Defaults: a single-input, shape-preserving, free accessory without
     parameters that passes its input and gradient through unchanged.
-    Subclasses set ``op`` and, unless they are accessories, ``category``."""
+    Subclasses set ``op`` and, unless they are accessories, ``category``.
+    ``fresh_dx`` is True for a kind whose ``backward`` returns input
+    gradients that nothing else holds (new arrays, or views of arrays only
+    they reach, without overlap), so the engine may add into them in place;
+    a kind that passes ``dout`` or a view of it on keeps False."""
 
     op = ""
     category = ACCESSORY
+    fresh_dx = False
 
     def infer_shape(self, in_shapes: list[tuple[int, ...]], vid: int) -> tuple[int, ...]:
         return in_shapes[0]
@@ -237,6 +242,7 @@ class Conv2d(OpKind):
 
     op = "conv2d"
     category = STEM
+    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         (n, c, h, w), = in_shapes
@@ -310,6 +316,7 @@ class Linear(OpKind):
 
     op = "linear"
     category = STEM
+    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         (n, f), = in_shapes
@@ -362,6 +369,7 @@ class BatchNorm(OpKind):
     channels: int
 
     op = "batch_norm"
+    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         shape, = in_shapes
@@ -482,6 +490,7 @@ class BatchNorm(OpKind):
 @dataclass(frozen=True)
 class ReLU(OpKind):
     op = "relu"
+    fresh_dx = True
 
     def flops(self, out_shape, n_inputs):
         return _numel(out_shape)
@@ -499,6 +508,8 @@ class ReLU(OpKind):
 class _Pool(OpKind):
     kernel: int
     stride: int
+
+    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         (n, c, h, w), = in_shapes
@@ -562,10 +573,13 @@ class AvgPool(_Pool):
         if _tiles(self, cache["x_shape"]):
             # Widen each row k-fold, then copy it to the window's k rows. One
             # 6-D broadcast copy is slower: numpy's inner loop would run over
-            # just k elements.
+            # just k elements. The copy goes into a new array, which the
+            # engine may add into: reshaping the broadcast view gives a
+            # read-only view of ``wide`` when ho or k is 1.
             wide = np.repeat(dout / (k * k), k, axis=3)
-            tiled = np.broadcast_to(wide[:, :, :, None, :], (n, c, ho, k, wo * k))
-            return [tiled.reshape(cache["x_shape"])]
+            dx = np.empty(cache["x_shape"])
+            dx.reshape(n, c, ho, k, wo * k)[...] = wide[:, :, :, None, :]
+            return [dx]
         dwin = np.broadcast_to((dout / (k * k))[:, :, None, None], (n, c, k, k, ho, wo))
         return [_col2im(dwin, cache["x_shape"], self.stride, 0)]
 
@@ -627,6 +641,7 @@ class Add(_Elementwise):
 @dataclass(frozen=True)
 class Mul(_Elementwise):
     op = "mul"
+    fresh_dx = True
 
     def forward(self, params, xs, mode, src=None, memo=None):
         out = xs[0] * xs[1]

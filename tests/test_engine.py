@@ -115,6 +115,25 @@ def test_conv_gradients_match_loop_oracle(k, stride, pad):
             assert dins is None
 
 
+def vertex_outputs(g, x, mode):
+    """Every vertex's output, from each kind's own ``forward`` in topo order,
+    as the engine calls them (whose forward keeps only the graph output).
+    Runs on a copy of g, so train-mode BatchNorm statistics stay put."""
+    g = copy.deepcopy(g)
+    xs = [x] if isinstance(x, np.ndarray) else list(x)
+    acts, memo = {}, {}
+    for vid in g.topo_order:
+        if vid in g.input_binding:
+            src = ("input", g.input_binding[vid])
+            vin = [xs[src[1]]]
+        else:
+            src = g.preds[vid][0]
+            vin = [acts[p] for p in g.preds[vid]]
+        vx = g.vertices[vid]
+        acts[vid] = vx.kind.forward(vx.params, vin, mode, src, memo)[0]
+    return acts
+
+
 @pytest.mark.parametrize("n_inputs", [2, 3])
 def test_add_forward_is_bit_identical_to_copy_then_add(n_inputs):
     rng = np.random.default_rng(44)
@@ -205,9 +224,10 @@ def test_concat_then_split_recovers_inputs():
     g = infer_shapes(build_graph(doc))
     init_params(g, np.random.default_rng(0))
     x = np.random.default_rng(2).normal(size=(2, 2, 2, 2))
-    out, cache = forward(g, x, mode="eval")
-    assert np.array_equal(out[:, :2], cache["acts"][0])
-    assert np.array_equal(out[:, 2:], cache["acts"][1])
+    out, _ = forward(g, x, mode="eval")
+    acts = vertex_outputs(g, x, "eval")
+    assert np.array_equal(out[:, :2], acts[0])
+    assert np.array_equal(out[:, 2:], acts[1])
 
 
 def test_linear_regression_analytic_gradient():
@@ -391,9 +411,8 @@ def test_mul_joint_forward_and_gradients():
     g = infer_shapes(build_graph(doc))
     init_params(g, np.random.default_rng(6))
     x = np.random.default_rng(7).normal(size=(2, 2, 4, 4))
-    out, cache = forward(g, x, mode="eval")
-    a, b = cache["acts"][0], cache["acts"][1]
-    assert np.array_equal(cache["acts"][2], a * b)
+    acts = vertex_outputs(g, x, "eval")
+    assert np.array_equal(acts[2], acts[0] * acts[1])
     assert finite_difference_check(g, "mse", n_coords=30, seed=8).rel_err < 1e-5
 
 
@@ -473,7 +492,7 @@ def test_batchnorm_backward_on_eval_cache():
     _, grads = backward(g, cache, "mse", np.zeros_like(out))
     # eval BN is y = (x - running_mean) * gamma / sqrt(running_var + eps) + beta
     p = g.vertices[6].params
-    xin = cache["acts"][5]
+    xin = vertex_outputs(g, x, "eval")[5]
     xhat = (xin - p.running_mean) / np.sqrt(p.running_var + 1e-5)
     d = out / out.shape[0]  # mse gradient at zero targets
     assert np.abs(grads[6]["gamma"] - (d * xhat).sum(axis=0)).max() < 1e-12
@@ -521,9 +540,9 @@ def test_avg_pool_matches_loop_and_finite_differences(k, stride, size):
         {"op": "linear", "in_features": 2 * ho * ho, "out_features": 3},
     ], [[0, 1], [1, 2], [2, 3]], seed=16)
     x = np.random.default_rng(17).normal(size=(2, 2, size, size))
-    _, cache = forward(g, x, mode="eval")
-    want = loop_avg_pool(cache["acts"][0], k, stride)
-    assert np.abs(cache["acts"][1] - want).max() < 1e-14
+    acts = vertex_outputs(g, x, "eval")
+    want = loop_avg_pool(acts[0], k, stride)
+    assert np.abs(acts[1] - want).max() < 1e-14
     assert finite_difference_check(g, "mse", n_coords=40, seed=18).rel_err < 1e-5
 
 
@@ -560,8 +579,8 @@ def test_max_pool_matches_loop_and_finite_differences(k, stride):
         {"op": "linear", "in_features": 2 * ho * ho, "out_features": 3},
     ], [[0, 1], [1, 2], [2, 3]], seed=30)
     x = np.random.default_rng(31).normal(size=(2, 2, size, size))
-    _, cache = forward(g, x, mode="eval")
-    assert np.array_equal(cache["acts"][1], loop_max_pool(cache["acts"][0], k, stride))
+    acts = vertex_outputs(g, x, "eval")
+    assert np.array_equal(acts[1], loop_max_pool(acts[0], k, stride))
     assert finite_difference_check(g, "mse", n_coords=40, seed=32).rel_err < 1e-5
 
 
@@ -593,11 +612,12 @@ def test_convs_reading_one_tensor(from_input, geometry):
            [base + 3, base + 4]], seed=19)
     x = np.random.default_rng(20).normal(size=(2, 2, 4, 4))
     _, cache = forward(g, x, mode="train")
-    src = x if from_input else cache["acts"][1]
+    acts = vertex_outputs(g, x, "train")
+    src = x if from_input else acts[1]
     for vid, (kk, ss, pp) in ((base, (3, 1, 1)), (base + 1, geometry)):
         p = g.vertices[vid].params
         want = loop_conv2d(src, p.weight, p.bias, kk, ss, pp)
-        assert np.abs(cache["acts"][vid] - want).max() < 1e-12
+        assert np.abs(acts[vid] - want).max() < 1e-12
     shared = cache["vcaches"][base]["cols"] is cache["vcaches"][base + 1]["cols"]
     assert shared == (geometry == (3, 1, 1))
     assert finite_difference_check(g, "mse", n_coords=60, seed=21).rel_err < 1e-5
@@ -785,3 +805,134 @@ def test_batchnorm_memo_entry_of_another_array_is_not_used():
     got, = kind.backward(p, cache, d, grads, memo=memo)
     assert got.tobytes() == want.tobytes()
     assert all(grads[r].tobytes() == want_grads[r].tobytes() for r in grads)
+
+
+def test_forward_frees_each_activation_after_its_last_consumer(monkeypatch):
+    """An output that no op cache holds is freed by the end of the pass, a
+    dead-end vertex's before the next vertex runs; a duplicate edge counts
+    as two consumers; a ReLU's output (its cache holds it) and the graph
+    output survive."""
+    g = graph_of((1, 2, 4, 4), [
+        conv_spec(2, 3),                  # 0: read by 1 and the dead end 2
+        {"op": "relu"},                   # 1
+        conv_spec(3, 3, k=1, pad=0),      # 2: dead end
+        conv_spec(3, 3),                  # 3: read twice by 4, then by 5
+        {"op": "add"},                    # 4: add(3, 3)
+        {"op": "add"},                    # 5: add(4, 3)
+        {"op": "flatten"},                # 6
+        {"op": "linear", "in_features": 48, "out_features": 2},  # 7: output
+    ], [[0, 1], [0, 2], [1, 3], [3, 4], [3, 4], [4, 5], [3, 5], [5, 6], [6, 7]],
+        seed=39)
+    assert g.topo_order == list(range(8))
+    refs, alive_at_call = [], []
+    for cls in {type(vx.kind) for vx in g.vertices.values()}:
+        def recorded(self, *args, _forward=cls.forward, **kwargs):
+            alive_at_call.append([r() is not None for r in refs])
+            out, cache = _forward(self, *args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out, cache
+        monkeypatch.setattr(cls, "forward", recorded)
+    x = np.random.default_rng(40).normal(size=(2, 2, 4, 4))
+    out, cache = forward(g, x, mode="train")
+    monkeypatch.undo()
+    assert out.tobytes() == vertex_outputs(g, x, "train")[7].tobytes()
+    assert [r() is not None for r in refs] == [False, True, False, False, False,
+                                               True, True, True]
+    # Row i: which earlier outputs were alive as vertex i's forward began.
+    # 0 dies once the dead end 2 has run, and 2 at once; 3 outlives its
+    # duplicate edge into 4; 3 and 4 die after 5, their last consumer.
+    alive = ["".join("01"[a] for a in row) for row in alive_at_call]
+    assert alive == ["", "1", "11", "010", "0101", "01011", "010001", "0100011"]
+    del out
+    assert refs[7]() is not None    # the cache keeps the graph output
+    del cache
+    assert refs[7]() is None
+
+
+def test_fan_in_sums_never_write_a_passed_on_gradient(monkeypatch):
+    """The Add (4) hands its dout, the array it got from the Add after it,
+    to vertices 1 and 2. Vertex 1 also gets conv 3's gradient before
+    vertex 2's backward runs, so adding it into the array in place would
+    change vertex 2's gradient. The step is byte-identical to one that adds
+    nothing in place, and no Add's dout is written."""
+    g = graph_of((1, 2, 4, 4), [
+        conv_spec(2, 3),                  # 0
+        {"op": "relu"},                   # 1
+        conv_spec(3, 3),                  # 2: reads 0
+        conv_spec(3, 3),                  # 3: reads 1
+        {"op": "add"},                    # 4: add(1, 2)
+        {"op": "add"},                    # 5: add(3, 4)
+        {"op": "flatten"},                # 6
+        {"op": "linear", "in_features": 48, "out_features": 2},  # 7
+    ], [[0, 1], [0, 2], [1, 3], [1, 4], [2, 4], [3, 5], [4, 5], [5, 6], [6, 7]],
+        seed=41)
+    assert g.topo_order == list(range(8))
+    rng = np.random.default_rng(42)
+    x, y = rng.normal(size=(3, 2, 4, 4)), rng.normal(size=(3, 2))
+    seen = []
+    add_backward = Add.backward
+
+    def recorded(self, params, cache, dout, *args, **kwargs):
+        seen.append((dout, dout.copy()))
+        return add_backward(self, params, cache, dout, *args, **kwargs)
+
+    def step():
+        _, cache = forward(g, x, mode="eval")
+        return backward(g, cache, "mse", y)[1]
+
+    monkeypatch.setattr(Add, "backward", recorded)
+    grads = step()
+    assert len(seen) == 2
+    assert all(d.tobytes() == before.tobytes() for d, before in seen)
+    for cls in ops.KINDS:
+        monkeypatch.setattr(cls, "fresh_dx", False)
+    want = step()
+    for vid, roles in want.items():
+        for role, arr in roles.items():
+            assert grads[vid][role].tobytes() == arr.tobytes(), (vid, role)
+
+
+FRESH_DX_CASES = {
+    "conv": (ops.Conv2d(3, 1, 1, 2, 3), [(2, 2, 4, 4)]),
+    "strided_conv": (ops.Conv2d(3, 2, 1, 2, 3, has_bias=False), [(2, 2, 5, 5)]),
+    "linear": (ops.Linear(4, 3), [(2, 4)]),
+    "batch_norm": (BatchNorm(2), [(3, 2, 4, 4)]),
+    "relu": (ReLU(), [(2, 2, 4, 4)]),
+    "max_pool": (ops.MaxPool(2, 2), [(2, 2, 4, 4)]),
+    "avg_pool_one_window": (AvgPool(4, 4), [(2, 2, 4, 4)]),
+    "avg_pool_k1": (AvgPool(1, 1), [(2, 2, 4, 4)]),
+    "avg_pool_tiled": (AvgPool(2, 2), [(2, 2, 4, 6)]),
+    "avg_pool_overlapping": (AvgPool(3, 2), [(2, 2, 5, 5)]),
+    "mul": (Mul(), [(2, 2, 4, 4)] * 3),
+}
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("case", sorted(FRESH_DX_CASES))
+def test_fresh_dx_kinds_return_gradients_nothing_else_holds(case, mode):
+    """What lets the engine add into a ``fresh_dx`` kind's input gradients in
+    place: each is writable, has no element twice (no zero stride), and
+    shares no memory with dout, the inputs, the output, the parameters, the
+    op's cache or the other returned gradients."""
+    kind, shapes = FRESH_DX_CASES[case]
+    assert kind.fresh_dx
+    rng = np.random.default_rng(43)
+    params = kind.default_params()
+    if params is not None:
+        for role, arr in params.trainable_items():
+            arr[...] = rng.normal(size=arr.shape)
+    xs = [rng.normal(size=s) for s in shapes]
+    out, cache = kind.forward(params, xs, mode)
+    dout = rng.normal(size=out.shape)
+    grads = {} if params is None else {r: np.zeros_like(a) for r, a in params.trainable_items()}
+    dins = kind.backward(params, cache, dout, grads)
+    held = [dout, out, *xs, *grads.values()]
+    held += [] if params is None else [a for _, a in params.trainable_items()]
+    for v in cache.values():
+        held += v if isinstance(v, list) else [v] if isinstance(v, np.ndarray) else []
+    assert len(dins) == len(xs)
+    for i, d in enumerate(dins):
+        assert d.flags.writeable
+        assert all(st or n == 1 for st, n in zip(d.strides, d.shape)), d.strides
+        others = held + dins[:i] + dins[i + 1:]
+        assert not any(np.shares_memory(d, a) for a in others)
