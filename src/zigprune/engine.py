@@ -1,10 +1,10 @@
 """Forward/reverse execution engine for the graph IR.
 
 Double precision throughout. ``forward`` evaluates the graph on a batch and
-returns an activation cache; ``backward`` turns a loss into per-vertex
-parameter gradients averaged over the batch. Training mode uses batch
-statistics in BatchNorm (and updates running statistics in place, momentum
-0.1); eval mode is a pure function of (params, input).
+returns its output and a cache for backward; ``backward`` turns a loss into
+per-vertex parameter gradients averaged over the batch. Training mode uses
+batch statistics in BatchNorm (and updates running statistics in place,
+momentum 0.1); eval mode is a pure function of (params, input).
 """
 
 from __future__ import annotations

@@ -836,6 +836,8 @@ def test_forward_frees_each_activation_after_its_last_consumer(monkeypatch):
     out, cache = forward(g, x, mode="train")
     monkeypatch.undo()
     assert out.tobytes() == vertex_outputs(g, x, "train")[7].tobytes()
+    # After the pass: 1 lives in ReLU's cache, 6 in Linear's (and 5 as the
+    # base of 6, a Flatten view), 7 as the output; no cache holds the rest.
     assert [r() is not None for r in refs] == [False, True, False, False, False,
                                                True, True, True]
     # Row i: which earlier outputs were alive as vertex i's forward began.
