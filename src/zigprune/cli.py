@@ -21,11 +21,12 @@ import sys
 
 from .compression import verify_equivalence
 from .datasets import GroupSparseProblem
-from .errors import ZigpruneError
+from .errors import ConfigError, ZigpruneError
 from .graph import export_dot, infer_shapes, load_graph
 from .harness import (
     ExperimentConfig,
     build_dataset,
+    check_dataset_keys,
     compress_and_verify,
     evaluate_graph,
     rng_streams,
@@ -132,10 +133,11 @@ def cmd_report(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     spec = dict(cfg.dataset)
-    if spec.pop("kind", None) != "synthetic-regression":
-        print("ablate expects a synthetic-regression dataset", file=sys.stderr)
-        return 2
+    kind = spec.pop("kind", None)
+    if kind != "synthetic-regression":
+        raise ConfigError(f"ablate expects a synthetic-regression dataset, got {kind!r}")
     sweep = spec.pop("lambda_sweep", [1e-3, 1e-2, 1e-1, 1e0, 1e1])
+    check_dataset_keys(kind, spec, GroupSparseProblem)
     problem = GroupSparseProblem(**spec)
     table = run_ablation_dhspg_vs_hspg(
         problem, sweep, target_zero_groups=cfg.optimizer.target_zero_groups,

@@ -164,10 +164,6 @@ def backward(g: ComputationGraph, cache, loss: str, targets):
     value, dout = _loss_and_grad(cache["out"], loss, targets)
     grads = zero_gradients(g)
     dacts: dict[int, np.ndarray] = {cache["out_id"]: dout}
-    # Vertices whose pending gradient the pass may add into in place: it came
-    # from a kind whose backward returns arrays nothing else holds, or from a
-    # sum made here. Any other array may also be another vertex's gradient.
-    owned: set[int] = set()
     memo: dict = {}
     for vid in reversed(g.topo_order):
         if vid not in dacts:
@@ -179,15 +175,7 @@ def backward(g: ComputationGraph, cache, loss: str, targets):
         if bound:
             continue
         for p, d in zip(g.preds[vid], dins):
-            if p not in dacts:
-                dacts[p] = d
-                if vx.kind.fresh_dx:
-                    owned.add(p)
-            elif p in owned:
-                dacts[p] += d
-            else:
-                dacts[p] = dacts[p] + d
-                owned.add(p)
+            dacts[p] = dacts[p] + d if p in dacts else d
     return value, grads
 
 

@@ -133,21 +133,40 @@ class ComputationGraph:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _kind_from_doc(vdoc: dict) -> OpKind:
+def _doc_int(value, where: str, low: Optional[int] = None) -> int:
+    """A document's integer as an int: a Python or numpy integer, not a bool,
+    and at least ``low`` when given; anything else is a GraphError naming
+    ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GraphError(f"{where} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise GraphError(f"{where} must be at least {low}, got {value}")
+    return int(value)
+
+
+def _kind_from_doc(vid: int, vdoc: dict) -> OpKind:
     """A kind's document attributes are its dataclass fields; one with a
-    default is optional and coerced to the default's type."""
+    default is optional. Integer fields are sizes of at least 1, or a
+    padding of at least 0; a bool field takes only a bool and a str field
+    only a str."""
     op = vdoc.get("op")
     cls = _KIND_BY_OP.get(op)
     if cls is None:
         raise UnknownKindString(f"unrecognized op string {op!r}")
     kw = {}
     for f in fields(cls):
-        if f.default is not MISSING:
-            kw[f.name] = type(f.default)(vdoc.get(f.name, f.default))
-        elif f.name not in vdoc:
-            raise GraphError(f"op {op!r} requires attribute {f.name!r}")
+        where = f"vertex {vid}: {op} attribute {f.name!r}"
+        if f.name in vdoc:
+            value = vdoc[f.name]
+        elif f.default is not MISSING:
+            value = f.default
         else:
-            kw[f.name] = vdoc[f.name]
+            raise GraphError(f"{where} is required")
+        if f.type == "int":
+            value = _doc_int(value, where, low=0 if f.name == "padding" else 1)
+        elif not isinstance(value, {"bool": bool, "str": str}[f.type]):
+            raise GraphError(f"{where} must be a {f.type}, got {value!r}")
+        kw[f.name] = value
     return cls(**kw)
 
 
@@ -184,17 +203,19 @@ def build_graph(doc: dict) -> ComputationGraph:
     vertices: dict[int, Vertex] = {}
     binding: dict[int, int] = {}
     for vdoc in doc.get("vertices", []):
-        vid = int(vdoc["id"])
+        vid = _doc_int(vdoc["id"], f"vertex {vdoc['id']!r}: 'id'")
         if vid in vertices:
             raise GraphError(f"duplicate vertex id {vid}")
-        kind = _kind_from_doc(vdoc)
+        kind = _kind_from_doc(vid, vdoc)
         params = _params_from_doc(kind, vdoc.get("params"))
         vertices[vid] = Vertex(id=vid, kind=kind, name=vdoc.get("name", ""), params=params)
         if "input" in vdoc:
-            binding[vid] = int(vdoc["input"])
+            binding[vid] = _doc_int(vdoc["input"], f"vertex {vid}: 'input'")
 
-    edges = [(int(s), int(d)) for s, d in doc.get("edges", [])]
-    input_shapes = [tuple(int(d) for d in s) for s in doc.get("input_shapes", [])]
+    edges = [(_doc_int(s, f"edge {i}: source"), _doc_int(d, f"edge {i}: target"))
+             for i, (s, d) in enumerate(doc.get("edges", []))]
+    input_shapes = [tuple(_doc_int(d, f"input_shapes[{i}]") for d in s)
+                    for i, s in enumerate(doc.get("input_shapes", []))]
     for shape in input_shapes:
         _check_shape(shape)
 

@@ -148,16 +148,22 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
     raise ConfigError("graph spec needs 'builder' or 'path'")
 
 
+def check_dataset_keys(kind: str, spec: dict, make, exclude=frozenset()) -> None:
+    """Raise a ConfigError naming the keys of a ``kind`` dataset spec that
+    ``make``, the function or class it is passed to, does not take (or
+    takes from elsewhere: ``exclude``)."""
+    unknown = set(spec) - (set(inspect.signature(make).parameters) - set(exclude))
+    if unknown:
+        raise ConfigError(f"unknown {kind} keys: {sorted(unknown)}")
+
+
 def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> ClassificationData:
     """The configured dataset. Raises ConfigError for a kind the pipeline
     cannot train on, or when the train or the test split is empty."""
     spec = dict(cfg.dataset)
     kind = spec.pop("kind", None)
     if kind == "synthetic-classification":
-        known = set(inspect.signature(gen_synthetic_classification).parameters) - {"seed"}
-        unknown = set(spec) - known
-        if unknown:
-            raise ConfigError(f"unknown synthetic-classification keys: {sorted(unknown)}")
+        check_dataset_keys(kind, spec, gen_synthetic_classification, exclude={"seed"})
         for name in ("n_train", "n_test"):
             if name in spec:
                 _check_int(name, spec[name], 0)

@@ -157,20 +157,6 @@ def _channel_sums(blocks, a3, b3):
     return total, dot
 
 
-def _phase_sum(a: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
-    """Writes the sum of the k phases ``a[..., j::k]`` along ``axis`` into
-    ``out``, in phase order, and returns ``out``."""
-    lead = (slice(None),) * axis
-    phases = [a[lead + (slice(j, None, k),)] for j in range(k)]
-    if k == 1:
-        np.copyto(out, phases[0])
-        return out
-    np.add(phases[0], phases[1], out=out)
-    for phase in phases[2:]:
-        out += phase
-    return out
-
-
 def _numel(out_shape) -> int:
     return int(np.prod(out_shape[1:]))
 
@@ -183,15 +169,10 @@ def _numel(out_shape) -> int:
 class OpKind:
     """Defaults: a single-input, shape-preserving, free accessory without
     parameters that passes its input and gradient through unchanged.
-    Subclasses set ``op`` and, unless they are accessories, ``category``.
-    ``fresh_dx`` is True for a kind whose ``backward`` returns input
-    gradients that nothing else holds (new arrays, or views of arrays only
-    they reach, without overlap), so the engine may add into them in place;
-    a kind that passes ``dout`` or a view of it on keeps False."""
+    Subclasses set ``op`` and, unless they are accessories, ``category``."""
 
     op = ""
     category = ACCESSORY
-    fresh_dx = False
 
     def infer_shape(self, in_shapes: list[tuple[int, ...]], vid: int) -> tuple[int, ...]:
         return in_shapes[0]
@@ -242,7 +223,6 @@ class Conv2d(OpKind):
 
     op = "conv2d"
     category = STEM
-    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         (n, c, h, w), = in_shapes
@@ -316,7 +296,6 @@ class Linear(OpKind):
 
     op = "linear"
     category = STEM
-    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         (n, f), = in_shapes
@@ -369,7 +348,6 @@ class BatchNorm(OpKind):
     channels: int
 
     op = "batch_norm"
-    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         shape, = in_shapes
@@ -490,7 +468,6 @@ class BatchNorm(OpKind):
 @dataclass(frozen=True)
 class ReLU(OpKind):
     op = "relu"
-    fresh_dx = True
 
     def flops(self, out_shape, n_inputs):
         return _numel(out_shape)
@@ -508,8 +485,6 @@ class ReLU(OpKind):
 class _Pool(OpKind):
     kernel: int
     stride: int
-
-    fresh_dx = True
 
     def infer_shape(self, in_shapes, vid):
         (n, c, h, w), = in_shapes
@@ -548,20 +523,14 @@ class AvgPool(_Pool):
     op = "avg_pool"
 
     def forward(self, params, xs, mode, src=None, memo=None):
-        """Tiled windows: per block of whole samples (``_sample_blocks``),
-        sum the k column phases into a block-sized temporary, then its k row
-        phases into the output."""
         x, = xs
         k = self.kernel
         if _tiles(self, x.shape):
-            n, c, h, w = x.shape
-            out = np.empty((n, c, h // k, w // k))
-            blocks = _sample_blocks(n, x[0].size)
-            tmp = np.empty_like(x[blocks[0], :, :, ::k])
-            for blk in blocks:
-                xb = x[blk]
-                cols = _phase_sum(xb, 3, k, tmp[:len(xb)])
-                _phase_sum(cols, 2, k, out[blk])
+            out = x[:, :, ::k, ::k].copy()
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        out += x[:, :, i::k, j::k]
             out /= k * k
         else:
             out = _windows(x, k, self.stride).mean(axis=(-2, -1))
@@ -573,13 +542,10 @@ class AvgPool(_Pool):
         if _tiles(self, cache["x_shape"]):
             # Widen each row k-fold, then copy it to the window's k rows. One
             # 6-D broadcast copy is slower: numpy's inner loop would run over
-            # just k elements. The copy goes into a new array, which the
-            # engine may add into: reshaping the broadcast view gives a
-            # read-only view of ``wide`` when ho or k is 1.
+            # just k elements.
             wide = np.repeat(dout / (k * k), k, axis=3)
-            dx = np.empty(cache["x_shape"])
-            dx.reshape(n, c, ho, k, wo * k)[...] = wide[:, :, :, None, :]
-            return [dx]
+            tiled = np.broadcast_to(wide[:, :, :, None, :], (n, c, ho, k, wo * k))
+            return [tiled.reshape(cache["x_shape"])]
         dwin = np.broadcast_to((dout / (k * k))[:, :, None, None], (n, c, k, k, ho, wo))
         return [_col2im(dwin, cache["x_shape"], self.stride, 0)]
 
@@ -641,7 +607,6 @@ class Add(_Elementwise):
 @dataclass(frozen=True)
 class Mul(_Elementwise):
     op = "mul"
-    fresh_dx = True
 
     def forward(self, params, xs, mode, src=None, memo=None):
         out = xs[0] * xs[1]

@@ -123,6 +123,20 @@ def test_ablate_command(tmp_path, capsys):
     assert table["rows"][0]["zero_groups"] == 3
 
 
+@pytest.mark.parametrize("dataset, named", [
+    ({"kind": "synthetic-regression", "n_sampels": 300}, "n_sampels"),
+    ({"kind": "synthetic-classification"}, "synthetic-regression"),
+])
+def test_ablate_rejects_a_bad_dataset_with_a_config_error(tmp_path, capsys, dataset, named):
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({"dataset": dataset, "epochs": 1,
+                                "output_dir": str(tmp_path / "ablate")}), encoding="utf-8")
+    assert main(["ablate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not os.path.exists(tmp_path / "ablate")
+
+
 def test_probes_command(capsys):
     assert main(["probes", "--trials", "40"]) == 0
     out = capsys.readouterr().out

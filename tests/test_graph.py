@@ -242,6 +242,55 @@ def test_kind_attributes_round_trip(op):
             assert getattr(kind, f.name) == f.default
 
 
+def typed_doc():
+    """Conv, BatchNorm, max-pool, Flatten and linear, with numpy integers
+    among its sizes."""
+    return {
+        "input_shapes": [[2, np.int64(3), 8, 8]],
+        "vertices": [
+            {"id": 0, "op": "conv2d", "kernel": np.int32(3), "stride": 1, "padding": 1,
+             "in_channels": 3, "out_channels": 4, "has_bias": True},
+            {"id": 1, "op": "batch_norm", "channels": 4},
+            {"id": 2, "op": "max_pool", "kernel": 2, "stride": np.int64(2)},
+            {"id": 3, "op": "flatten"},
+            {"id": 4, "op": "linear", "in_features": 64, "out_features": 2,
+             "has_bias": False},
+        ],
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4]],
+    }
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("vertices", 0, "has_bias"), "false", "vertex 0: conv2d attribute 'has_bias'"),
+    (("vertices", 4, "has_bias"), 1, "vertex 4: linear attribute 'has_bias'"),
+    (("vertices", 2, "kernel"), 2.7, "vertex 2: max_pool attribute 'kernel'"),
+    (("vertices", 2, "stride"), "2", "vertex 2: max_pool attribute 'stride'"),
+    (("vertices", 0, "kernel"), 0, "vertex 0: conv2d attribute 'kernel'"),
+    (("vertices", 0, "stride"), 0, "vertex 0: conv2d attribute 'stride'"),
+    (("vertices", 0, "padding"), -1, "vertex 0: conv2d attribute 'padding'"),
+    (("vertices", 0, "out_channels"), np.float64(4.0), "vertex 0: conv2d attribute 'out_channels'"),
+    (("vertices", 1, "channels"), True, "vertex 1: batch_norm attribute 'channels'"),
+    (("vertices", 4, "in_features"), 0, "vertex 4: linear attribute 'in_features'"),
+    (("vertices", 3), {"id": 3, "op": "unknown", "opname": 5},
+     "vertex 3: unknown attribute 'opname'"),
+    (("vertices", 0, "id"), 0.9, "vertex 0.9: 'id'"),
+    (("vertices", 0, "input"), 0.7, "vertex 0: 'input'"),
+    (("input_shapes", 0, 1), 3.9, "input_shapes[0]"),
+    (("edges", 0, 1), 1.2, "edge 0: target"),
+])
+def test_graph_document_values_are_not_coerced(path, value, named):
+    doc = typed_doc()
+    infer_shapes(build_graph(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(GraphError) as err:
+        build_graph(doc)
+    assert named in str(err.value)
+
+
 def test_conv_chain_vertex_count():
     g = conv_chain(100)
     assert 97 <= len(g.vertices) <= 101
