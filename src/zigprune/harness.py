@@ -150,8 +150,8 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
 
 def check_dataset_keys(kind: str, spec: dict, make, exclude=frozenset()) -> None:
     """Raise a ConfigError naming the keys of a ``kind`` dataset spec that
-    ``make``, the function or class it is passed to, does not take (or
-    takes from elsewhere: ``exclude``)."""
+    are not parameters of ``make``, the callable the spec is passed to, or
+    that are in ``exclude``."""
     unknown = set(spec) - (set(inspect.signature(make).parameters) - set(exclude))
     if unknown:
         raise ConfigError(f"unknown {kind} keys: {sorted(unknown)}")

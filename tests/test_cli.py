@@ -129,8 +129,7 @@ def test_ablate_command(tmp_path, capsys):
 ])
 def test_ablate_rejects_a_bad_dataset_with_a_config_error(tmp_path, capsys, dataset, named):
     path = tmp_path / "ab.json"
-    path.write_text(json.dumps({"dataset": dataset, "epochs": 1,
-                                "output_dir": str(tmp_path / "ablate")}), encoding="utf-8")
+    path.write_text(json.dumps({"dataset": dataset, "output_dir": str(tmp_path / "ablate")}), encoding="utf-8")
     assert main(["ablate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
