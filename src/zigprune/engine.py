@@ -1,10 +1,12 @@
 """Forward/reverse execution engine for the graph IR.
 
 Double precision throughout. ``forward`` evaluates the graph on a batch and
-returns its output and a cache for backward; ``backward`` turns a loss into
-per-vertex parameter gradients averaged over the batch. Training mode uses
-batch statistics in BatchNorm (and updates running statistics in place,
-momentum 0.1); eval mode is a pure function of (params, input).
+returns its output and, in train mode, a cache for backward; ``backward``
+turns a loss into per-vertex parameter gradients averaged over the batch.
+Training mode uses batch statistics in BatchNorm (and updates running
+statistics in place, momentum 0.1). Eval mode is inference only, a pure
+function of (params, input): it walks the batch ``EVAL_BATCH`` samples at a
+time and keeps no cache, so nothing can differentiate an eval pass.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .graph import ComputationGraph
 # GradientStore: vertex id -> role -> array, mirroring ParameterSet layouts.
 GradientStore = dict[int, dict[str, np.ndarray]]
 
-# Samples per eval forward, for evaluation and the equivalence check: small
-# enough that a chunk's activations and conv columns stay in a core's L2
-# cache (README, "Eval in chunks").
+# Samples per walk of an eval-mode forward: small enough that a chunk's
+# activations and conv columns stay in a core's L2 cache (README, "Eval in
+# chunks").
 EVAL_BATCH = 32
 
 
@@ -78,23 +80,14 @@ def _as_batch_list(g: ComputationGraph, inputs) -> list[np.ndarray]:
     return arrays
 
 
-def forward(g: ComputationGraph, inputs, mode: str = "train"):
-    """Evaluate the graph; returns (output array, cache for backward).
-
-    A vertex's output is dropped as soon as the last of its consumers has
-    run, counting one consumer per edge, and a dead-end vertex's at once; the
-    graph output is kept. The cache holds the output and each op's own
-    cache, which keeps whatever that op's backward reads, so an activation
-    no op cache references is freed during the pass.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval, got {mode!r}")
-    xs = _as_batch_list(g, inputs)
-    out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
+def _walk(g: ComputationGraph, xs: list[np.ndarray], out_id: int, mode: str):
+    """One pass over the graph: (output, each vertex's op cache), or
+    (output, None) in eval mode, which drops every op cache as the op
+    returns."""
     pending = {vid: len(succs) for vid, succs in g.succs.items()}
     pending[out_id] += 1  # so the output is never dropped
     acts: dict[int, np.ndarray] = {}
-    vcaches: dict[int, dict] = {}
+    vcaches = {} if mode == "train" else None
     memo: dict = {}
     for vid in g.topo_order:
         if vid in g.input_binding:
@@ -108,12 +101,43 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
                 if not pending[p]:
                     del acts[p]
         vx = g.vertices[vid]
-        acts[vid], vcaches[vid] = vx.kind.forward(vx.params, vin, mode, src, memo)
-        del vin
+        acts[vid], vcache = vx.kind.forward(vx.params, vin, mode, src, memo)
+        if vcaches is not None:
+            vcaches[vid] = vcache
+        del vin, vcache
         if not pending[vid]:
             del acts[vid]
-    out = acts.pop(out_id)
-    return out, {"out": out, "vcaches": vcaches, "mode": mode, "out_id": out_id}
+    return acts.pop(out_id), vcaches
+
+
+def forward(g: ComputationGraph, inputs, mode: str = "train"):
+    """Evaluate the graph; returns (output array, cache for backward), with
+    None for the cache in eval mode.
+
+    A vertex's output is dropped as soon as the last of its consumers has
+    run, counting one consumer per edge, and a dead-end vertex's at once; the
+    graph output is kept. The train-mode cache holds the output and each
+    op's own cache, which keeps whatever that op's backward reads, so an
+    activation no op cache references is freed during the pass.
+
+    Eval mode walks the batch ``EVAL_BATCH`` samples at a time, every graph
+    input sliced alike, each walk with its own memo, and concatenates the
+    outputs; a batch of at most ``EVAL_BATCH`` samples is one walk with no
+    copy. Each op's cache is dropped as the op returns.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be train or eval, got {mode!r}")
+    xs = _as_batch_list(g, inputs)
+    out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
+    if mode == "train":
+        out, vcaches = _walk(g, xs, out_id, mode)
+        return out, {"out": out, "vcaches": vcaches, "out_id": out_id}
+    n = len(xs[0])
+    if n <= EVAL_BATCH:
+        return _walk(g, xs, out_id, mode)[0], None
+    outs = [_walk(g, [x[lo:lo + EVAL_BATCH] for x in xs], out_id, mode)[0]
+            for lo in range(0, n, EVAL_BATCH)]
+    return np.concatenate(outs), None
 
 
 def _loss_terms(out: np.ndarray, loss: str, targets):
@@ -155,12 +179,13 @@ def zero_gradients(g: ComputationGraph) -> GradientStore:
 
 
 def backward(g: ComputationGraph, cache, loss: str, targets):
-    """Compute (loss value, parameter gradients) from a forward cache.
-
-    Both modes are supported: on a train-mode cache BatchNorm differentiates
-    through the batch statistics, on an eval-mode cache through its fixed
-    running statistics.
+    """Compute (loss value, parameter gradients) from a train-mode forward
+    cache; BatchNorm differentiates through the batch statistics. Raises
+    ValueError given anything else: eval-mode forwards keep no cache.
     """
+    if not isinstance(cache, dict) or "vcaches" not in cache:
+        raise ValueError("backward needs a train-mode forward cache; "
+                         "eval-mode forwards keep no cache")
     value, dout = _loss_and_grad(cache["out"], loss, targets)
     grads = zero_gradients(g)
     dacts: dict[int, np.ndarray] = {cache["out_id"]: dout}

@@ -170,25 +170,38 @@ def _kind_from_doc(vid: int, vdoc: dict) -> OpKind:
     return cls(**kw)
 
 
-def _params_from_doc(kind: OpKind, pdoc: Optional[dict]) -> Optional[ParameterSet]:
+def _doc_floats(value, where: str) -> np.ndarray:
+    """A document's nested list of numbers as a float array: every entry a
+    Python or numpy integer or float, not a bool, and finite; anything else
+    is a GraphError naming ``where``."""
+    entries = np.asarray(value, dtype=object)
+    for t in set(map(type, entries.flat)):
+        if not issubclass(t, (int, float, np.integer, np.floating)) or issubclass(t, bool):
+            raise GraphError(f"{where} must hold numbers, got a {t.__name__}")
+    arr = entries.astype(float)
+    if not np.isfinite(arr).all():
+        raise GraphError(f"{where} must hold finite numbers")
+    return arr
+
+
+def _params_from_doc(vid: int, kind: OpKind, pdoc: Optional[dict]) -> Optional[ParameterSet]:
     base = kind.default_params()
     if base is None:
         if pdoc:
-            raise GraphError(f"op {kind.op!r} does not carry parameters")
+            raise GraphError(f"vertex {vid}: op {kind.op!r} does not carry parameters")
         return None
     if pdoc is None:
         return base
     for key, val in pdoc.items():
+        where = f"vertex {vid}: parameter {key!r}"
         if not hasattr(base, key):
-            raise GraphError(f"unknown parameter field {key!r}")
+            raise GraphError(f"{where} is not a parameter field")
         ref = getattr(base, key)
         if ref is None:
-            raise GraphError(f"op {kind.op!r} has no {key!r} tensor")
-        arr = np.asarray(val, dtype=float)
+            raise GraphError(f"{where}: op {kind.op!r} has no such tensor")
+        arr = _doc_floats(val, where)
         if arr.shape != ref.shape:
-            raise GraphError(
-                f"parameter {key!r} has shape {arr.shape}, expected {ref.shape}"
-            )
+            raise GraphError(f"{where} has shape {arr.shape}, expected {ref.shape}")
         setattr(base, key, arr)
     return base
 
@@ -197,27 +210,39 @@ def build_graph(doc: dict) -> ComputationGraph:
     """Validate a graph document and construct the typed graph.
 
     Raises CycleDetected, DanglingEdge or UnknownKindString on malformed
-    documents. Explicit ``op: "unknown"`` vertices are permitted; they are
+    documents, and GraphError naming the field on any other malformed
+    value. Explicit ``op: "unknown"`` vertices are permitted; they are
     excluded from grouping downstream.
     """
     vertices: dict[int, Vertex] = {}
     binding: dict[int, int] = {}
-    for vdoc in doc.get("vertices", []):
+    for i, vdoc in enumerate(doc.get("vertices", [])):
+        if "id" not in vdoc:
+            raise GraphError(f"vertices[{i}]: 'id' is required")
         vid = _doc_int(vdoc["id"], f"vertex {vdoc['id']!r}: 'id'")
         if vid in vertices:
             raise GraphError(f"duplicate vertex id {vid}")
         kind = _kind_from_doc(vid, vdoc)
-        params = _params_from_doc(kind, vdoc.get("params"))
-        vertices[vid] = Vertex(id=vid, kind=kind, name=vdoc.get("name", ""), params=params)
+        params = _params_from_doc(vid, kind, vdoc.get("params"))
+        name = vdoc.get("name", "")
+        if not isinstance(name, str):
+            raise GraphError(f"vertex {vid}: 'name' must be a str, got {name!r}")
+        vertices[vid] = Vertex(id=vid, kind=kind, name=name, params=params)
         if "input" in vdoc:
             binding[vid] = _doc_int(vdoc["input"], f"vertex {vid}: 'input'")
 
-    edges = [(_doc_int(s, f"edge {i}: source"), _doc_int(d, f"edge {i}: target"))
-             for i, (s, d) in enumerate(doc.get("edges", []))]
-    input_shapes = [tuple(_doc_int(d, f"input_shapes[{i}]") for d in s)
-                    for i, s in enumerate(doc.get("input_shapes", []))]
-    for shape in input_shapes:
-        _check_shape(shape)
+    edges = []
+    for i, edge in enumerate(doc.get("edges", [])):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise GraphError(f"edge {i} must be a [source, target] list, got {edge!r}")
+        edges.append((_doc_int(edge[0], f"edge {i}: source"),
+                      _doc_int(edge[1], f"edge {i}: target")))
+    input_shapes = []
+    for i, shape in enumerate(doc.get("input_shapes", [])):
+        if not isinstance(shape, (list, tuple)):
+            raise GraphError(f"input_shapes[{i}] must be a list, got {shape!r}")
+        input_shapes.append(tuple(_doc_int(d, f"input_shapes[{i}]") for d in shape))
+        _check_shape(input_shapes[-1])
 
     g = ComputationGraph(vertices=vertices, edges=edges, input_shapes=input_shapes,
                          input_binding=binding)

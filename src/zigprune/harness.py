@@ -187,8 +187,9 @@ def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> Class
 # ---------------------------------------------------------------------------
 
 def evaluate_graph(g, x, y, loss: str, batch: int = EVAL_BATCH):
-    """(mean loss, accuracy) of g on (x, y), evaluated ``batch`` samples at a
-    time; accuracy is nan unless the loss is cross-entropy."""
+    """(mean loss, accuracy) of g on (x, y); accuracy is nan unless the loss
+    is cross-entropy. ``batch`` groups the loss sum only: each group is one
+    eval-mode forward, which walks ``EVAL_BATCH`` samples at a time."""
     total_loss = 0.0
     hits = 0.0
     n = x.shape[0]

@@ -7,6 +7,7 @@ system knows about the op: shape, FLOPs, parameters, execution and surgery.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional
@@ -135,8 +136,9 @@ def _tiles(kind, x_shape) -> bool:
 
 
 def _bn_view(x: np.ndarray) -> np.ndarray:
-    """(N, C) or (N, C, H, W) as (N, C, S): BatchNorm reduces over axes 0 and 2."""
-    return x.reshape(x.shape[0], x.shape[1], -1)
+    """(N, C) or (N, C, H, W) as (N, C, S): BatchNorm reduces over axes 0 and 2.
+    S is spelled out, not -1, so that N may be 0."""
+    return x.reshape(*x.shape[:2], math.prod(x.shape[2:]))
 
 
 def _sample_blocks(n: int, row: int) -> list[slice]:
@@ -191,10 +193,11 @@ class OpKind:
         return ""
 
     def forward(self, params, xs: list[np.ndarray], mode: str, src=None, memo=None):
-        """Returns (output, cache for ``backward``). ``src`` names the tensor a
-        single-input vertex reads. ``memo`` is a dict that lives for one
-        forward pass: ops that read one ``src`` keep there what they would
-        otherwise compute alike from it (im2col columns, BatchNorm sums)."""
+        """Returns (output, cache for ``backward``); the engine drops an
+        eval-mode cache unread. ``src`` names the tensor a single-input
+        vertex reads. ``memo`` is a dict that lives for one forward pass:
+        ops that read one ``src`` keep there what they would otherwise
+        compute alike from it (im2col columns, BatchNorm sums)."""
         return xs[0], {}
 
     def backward(self, params, cache, dout: np.ndarray, grads: dict, need_dx: bool = True,
@@ -377,9 +380,9 @@ class BatchNorm(OpKind):
         blocks of whole samples (``BN_BLOCK``), once for the per-channel sum
         and sum of squares and once for the output, against the coefficient
         rows ``np.repeat(a, S)`` and ``np.repeat(b, S)``. BatchNorms that
-        read one ``src`` share the sums through ``memo``. Eval mode uses the
-        running statistics in two full-size passes. Either cache holds
-        ``mean`` and ``inv_std``, which ``backward`` reads."""
+        read one ``src`` share the sums through ``memo``; its cache holds
+        ``mean`` and ``inv_std``, which ``backward`` reads. Eval mode uses the
+        running statistics in two full-size passes and keeps no cache."""
         x, = xs
         x3 = _bn_view(x)
         if mode == "train":
@@ -406,19 +409,17 @@ class BatchNorm(OpKind):
             for blk in blocks:
                 ob = np.multiply(x2[blk], a_row, out=out[blk])
                 ob += b_row
-        else:
-            mean = params.running_mean.copy()
-            inv_std = 1.0 / np.sqrt(params.running_var + BN_EPS)
-            a = params.gamma * inv_std
-            out = x3 * a[:, None]
-            out += (params.beta - mean * a)[:, None]
-        return out.reshape(x.shape), {"x": x3, "mean": mean, "inv_std": inv_std,
-                                      "mode": mode, "src": src}
+            return out.reshape(x.shape), {"x": x3, "mean": mean, "inv_std": inv_std,
+                                          "src": src}
+        a = params.gamma * (1.0 / np.sqrt(params.running_var + BN_EPS))
+        out = x3 * a[:, None]
+        out += (params.beta - params.running_mean * a)[:, None]
+        return out.reshape(x.shape), {}
 
     def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         # With xhat = (x - mean) * inv_std and a = gamma * inv_std:
-        # sum(d * xhat) = (sum(d * x) - mean * sum(d)) * inv_std, and in train
-        # mode dx = a * (d - sum(d) / m - xhat * sum(d * xhat) / m), which is
+        # sum(d * xhat) = (sum(d * x) - mean * sum(d)) * inv_std, and
+        # dx = a * (d - sum(d) / m - xhat * sum(d * xhat) / m), which is
         # a * d + c2 * x + c3 with per-channel c2 and c3. Both passes run in
         # sample blocks; dx is written through one block-sized temporary.
         # BatchNorms that read one src and get one dout array share sum(d)
@@ -440,8 +441,6 @@ class BatchNorm(OpKind):
         if not need_dx:
             return None
         scale = params.gamma * inv_std
-        if cache["mode"] != "train":
-            return [(d3 * scale[:, None]).reshape(dout.shape)]
         m = n * s
         c2 = -(scale / m) * sum_dxhat * inv_std
         c3 = -(scale / m) * sum_d - c2 * mean
@@ -505,7 +504,7 @@ class MaxPool(_Pool):
     def forward(self, params, xs, mode, src=None, memo=None):
         x, = xs
         win = _windows(x, self.kernel, self.stride)
-        flat = win.reshape(*win.shape[:4], -1)
+        flat = win.reshape(*win.shape[:4], self.kernel ** 2)
         arg = flat.argmax(axis=-1)
         out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
         return out, {"arg": arg, "x_shape": x.shape}
@@ -565,7 +564,7 @@ class Flatten(OpKind):
 
     def forward(self, params, xs, mode, src=None, memo=None):
         x, = xs
-        return x.reshape(x.shape[0], -1), {"x_shape": x.shape}
+        return x.reshape(x.shape[0], math.prod(x.shape[1:])), {"x_shape": x.shape}
 
     def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         return [dout.reshape(cache["x_shape"])]

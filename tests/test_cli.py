@@ -149,6 +149,16 @@ def test_error_exit_code(tmp_path):
     assert main(["partition", str(bad)]) == 2
 
 
+def test_partition_rejects_a_non_finite_parameter(graph_file, tmp_path, capsys):
+    with open(graph_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["vertices"][0]["params"]["bias"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["partition", str(bad)]) == 2
+    assert "vertex 0: parameter 'bias'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", [0, -3, 2.5])
 def test_train_rejects_equivalence_trials_below_one(tmp_path, trials, capsys):
     path = tmp_path / "exp.json"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import platform
 import sys
@@ -9,9 +10,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from zigprune import ops
+from zigprune import engine, ops
 from zigprune.builders import BUILDERS, demo_net
-from zigprune.engine import _loss_and_grad, accuracy, backward, evaluate_loss, forward
+from zigprune.engine import (EVAL_BATCH, _loss_and_grad, accuracy, backward, evaluate_loss,
+                             forward)
 from zigprune.errors import GraphError, ShapeMismatch
 from zigprune.graph import build_graph, infer_shapes, init_params
 from zigprune.harness import evaluate_graph
@@ -251,7 +253,7 @@ def test_linear_regression_analytic_gradient():
 def test_zero_input_gives_zero_conv_weight_gradient():
     g = conv_graph(has_bias=False)
     x = np.zeros((2, 2, 4, 4))
-    out, cache = forward(g, x, mode="eval")
+    out, cache = forward(g, x, mode="train")
     _, grads = backward(g, cache, "mse", np.ones_like(out))
     assert np.abs(grads[0]["weight"]).max() == 0.0
 
@@ -265,15 +267,19 @@ def test_forward_determinism_bit_identical():
 
 
 def test_eval_mode_is_pure():
+    """A three-chunk eval forward leaves every parameter array, running
+    statistics included, and its input byte for byte as they were."""
     g = demo_net(seed=9)
-    x = np.random.default_rng(4).normal(size=(2, 3, 16, 16))
-    before = [v.params.running_mean.copy() for v in g.vertices.values()
-              if v.params is not None and v.params.running_mean is not None]
+    x = np.random.default_rng(4).normal(size=(2 * EVAL_BATCH + 6, 3, 16, 16))
+    x_before = x.copy()
+    before = copy.deepcopy(g)
     forward(g, x, mode="eval")
-    after = [v.params.running_mean for v in g.vertices.values()
-             if v.params is not None and v.params.running_mean is not None]
-    for b, a in zip(before, after):
-        assert np.array_equal(b, a)
+    assert x.tobytes() == x_before.tobytes()
+    for vid, vx in before.vertices.items():
+        if vx.params is not None:
+            for f in dataclasses.fields(vx.params):
+                want, got = getattr(vx.params, f.name), getattr(g.vertices[vid].params, f.name)
+                assert (want is None and got is None) or want.tobytes() == got.tobytes()
 
 
 def test_train_mode_updates_running_stats():
@@ -311,9 +317,10 @@ class FiniteDifference(NamedTuple):
     allowance_ratio: float
 
 
-def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
-                            mode="train") -> FiniteDifference:
-    """Central differences on random parameter coordinates.
+def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0,
+                            batch=4) -> FiniteDifference:
+    """Central differences on random parameter coordinates, on train-mode
+    forwards.
 
     ``rel_err`` is the worst relative difference, ``|numeric - analytic|``
     over ``max(|numeric|, |analytic|)``, over the coordinates whose
@@ -326,7 +333,7 @@ def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
     0."""
     rng = np.random.default_rng(seed)
     xs = [rng.normal(size=(batch, *s[1:])) for s in g.input_shapes]
-    out, cache = forward(g, xs, mode=mode)
+    out, cache = forward(g, xs, mode="train")
     if loss == "cross_entropy":
         targets = rng.integers(0, out.shape[1], size=batch)
     else:
@@ -342,7 +349,7 @@ def finite_difference_check(g, loss, n_coords=50, h=1e-6, seed=0, batch=4,
             vec = base.copy()
             vec[c] += sign * h
             index.scatter(g, vec)
-            out_p, _ = forward(g, xs, mode=mode)
+            out_p, _ = forward(g, xs, mode="train")
             if sign > 0:
                 f_plus = evaluate_loss(out_p, loss, targets)
             else:
@@ -380,7 +387,7 @@ def test_relu_is_one_pass_max_with_the_masked_product_values():
     rng = np.random.default_rng(32)
     x = rng.normal(size=(4, 3, 5, 5))
     x[0, 0, 0, :2] = [0.0, -0.0]
-    out, cache = ReLU().forward(None, [x], "eval")
+    out, cache = ReLU().forward(None, [x], "train")
     # np.array_equal counts -0.0 equal to 0.0: only the sign of a zero differs
     assert np.array_equal(out, x * (x > 0))
     dout = rng.normal(size=x.shape)
@@ -477,31 +484,9 @@ def bn_conv_graph():
     ], [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]], seed=12), seed=13)
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_batchnorm_gradients_4d_and_2d(mode):
+def test_batchnorm_gradients_4d_and_2d():
     g = bn_conv_graph()
-    assert finite_difference_check(g, "mse", n_coords=60, seed=14, batch=5,
-                                   mode=mode).rel_err < 1e-5
-
-
-def test_batchnorm_backward_on_eval_cache():
-    g = bn_conv_graph()
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(3, 2, 4, 4))
-    out, cache = forward(g, x, mode="eval")
-    _, grads = backward(g, cache, "mse", np.zeros_like(out))
-    # eval BN is y = (x - running_mean) * gamma / sqrt(running_var + eps) + beta
-    p = g.vertices[6].params
-    xin = vertex_outputs(g, x, "eval")[5]
-    xhat = (xin - p.running_mean) / np.sqrt(p.running_var + 1e-5)
-    d = out / out.shape[0]  # mse gradient at zero targets
-    assert np.abs(grads[6]["gamma"] - (d * xhat).sum(axis=0)).max() < 1e-12
-    assert np.abs(grads[6]["beta"] - d.sum(axis=0)).max() < 1e-12
-    vx = g.vertices[6]
-    dx = vx.kind.backward(vx.params, cache["vcaches"][6], d,
-                          {"gamma": np.zeros(4), "beta": np.zeros(4)})[0]
-    want = d * p.gamma / np.sqrt(p.running_var + 1e-5)
-    assert np.abs(dx - want).max() < 1e-12
+    assert finite_difference_check(g, "mse", n_coords=60, seed=14, batch=5).rel_err < 1e-5
 
 
 @pytest.mark.parametrize("shape", [(6, 3, 4, 5), (7, 4)])
@@ -516,6 +501,77 @@ def test_eval_batchnorm_matches_normalize_then_scale(shape):
     want = (x - rm) / np.sqrt(rv + 1e-5) * gamma + beta
     out, _ = forward(g, x, mode="eval")
     assert np.abs(out - want).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# eval mode: chunked walks, no caches
+# ---------------------------------------------------------------------------
+
+def random_inputs(g, n, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(n, *shape[1:])) for shape in g.input_shapes]
+
+
+def output_of(g):
+    return g.output_id if g.output_id is not None else g.topo_order[-1]
+
+
+@pytest.mark.parametrize("n", [0, 1, EVAL_BATCH - 1, EVAL_BATCH, EVAL_BATCH + 1, 512])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_eval_forward_is_its_chunk_walks_concatenated(name, n, monkeypatch):
+    """Eval walks EVAL_BATCH samples at a time with every graph input sliced
+    alike (stacked_unets_mini reads two), and its output is bit for bit the
+    chunks' outputs concatenated; a batch of at most EVAL_BATCH samples,
+    0 included, is one walk."""
+    g = randomize_bn(BUILDERS[name](seed=11), 47)
+    xs = random_inputs(g, n, 48)
+    walks = []
+    walk = engine._walk
+    monkeypatch.setattr(engine, "_walk", lambda *args: walks.append(1) or walk(*args))
+    out, cache = forward(g, xs, mode="eval")
+    want = np.concatenate([
+        vertex_outputs(g, [x[lo:lo + EVAL_BATCH] for x in xs], "eval")[output_of(g)]
+        for lo in range(0, max(n, 1), EVAL_BATCH)])
+    assert cache is None
+    assert len(walks) == max(1, -(-n // EVAL_BATCH))
+    assert out.shape == want.shape == (n, *g.vertices[output_of(g)].out_shape[1:])
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_eval_forward_matches_a_whole_batch_walk(name):
+    """Chunking moves a 512-sample output only by rounding: a batched GEMM
+    rounds by its batch size."""
+    g = randomize_bn(BUILDERS[name](seed=12), 49)
+    xs = random_inputs(g, 512, 50)
+    out, _ = forward(g, xs, mode="eval")
+    want = vertex_outputs(g, xs, "eval")[output_of(g)]
+    assert np.abs(out - want).max() <= 1e-12
+
+
+def test_eval_forward_keeps_no_caches():
+    """A 512-sample eval forward of the full-width demo_net holds only its
+    40 KiB output once it returns, and peaks at one chunk's working set."""
+    g = demo_net(seed=0)
+    x = np.random.default_rng(51).normal(size=(512, 3, 16, 16))
+    forward(g, x, mode="eval")  # warm-up
+    tracemalloc.start()
+    try:
+        out, cache = forward(g, x, mode="eval")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache is None and out.shape == (512, 10)
+    assert held < 2 ** 20, f"{held} bytes held after an eval forward"
+    assert peak < 12 * 2 ** 20, f"{peak} bytes at the peak of an eval forward"
+
+
+def test_backward_rejects_an_eval_forward():
+    g = demo_net(seed=9)
+    x = np.random.default_rng(52).normal(size=(4, 3, 16, 16))
+    _, cache = forward(g, x, mode="eval")
+    with pytest.raises(ValueError, match="eval-mode forwards keep no cache"):
+        backward(g, cache, "cross_entropy", np.zeros(4, dtype=int))
 
 
 def loop_avg_pool(x, k, stride):
@@ -550,7 +606,7 @@ def test_avg_pool_matches_loop_and_finite_differences(k, stride, size):
 def test_tiled_avg_pool_backward_is_bit_identical_to_repeat(k):
     rng = np.random.default_rng(33 + k)
     kind = AvgPool(kernel=k, stride=k)
-    out, cache = kind.forward(None, [rng.normal(size=(3, 2, 3 * k, 2 * k))], "eval")
+    out, cache = kind.forward(None, [rng.normal(size=(3, 2, 3 * k, 2 * k))], "train")
     dout = rng.normal(size=out.shape)
     dx, = kind.backward(None, cache, dout, {})
     want = np.repeat(np.repeat(dout / (k * k), k, axis=2), k, axis=3)
@@ -635,9 +691,7 @@ def test_vertex_bound_to_graph_input(first):
         {"op": "linear", "in_features": width, "out_features": 3},
     ], [[0, 1], [1, 2]], seed=22), seed=23)
     assert 0 in g.input_binding
-    for mode in ("train", "eval"):
-        assert finite_difference_check(g, "mse", n_coords=30, seed=24, batch=5,
-                                       mode=mode).rel_err < 1e-5
+    assert finite_difference_check(g, "mse", n_coords=30, seed=24, batch=5).rel_err < 1e-5
 
 
 def two_pass_batchnorm(x, d, gamma, beta):
@@ -878,7 +932,7 @@ def test_fan_in_sums_never_write_a_passed_on_gradient(monkeypatch):
         return add_backward(self, params, cache, dout, *args, **kwargs)
 
     def step():
-        _, cache = forward(g, x, mode="eval")
+        _, cache = forward(g, x, mode="train")
         return backward(g, cache, "mse", y)[1]
 
     monkeypatch.setattr(Add, "backward", recorded)

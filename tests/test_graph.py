@@ -244,12 +244,13 @@ def test_kind_attributes_round_trip(op):
 
 def typed_doc():
     """Conv, BatchNorm, max-pool, Flatten and linear, with numpy integers
-    among its sizes."""
+    among its sizes and numpy and Python numbers among the conv's bias."""
     return {
         "input_shapes": [[2, np.int64(3), 8, 8]],
         "vertices": [
             {"id": 0, "op": "conv2d", "kernel": np.int32(3), "stride": 1, "padding": 1,
-             "in_channels": 3, "out_channels": 4, "has_bias": True},
+             "in_channels": 3, "out_channels": 4, "has_bias": True,
+             "params": {"bias": [0.5, -1, np.float32(2.0), np.int64(3)]}},
             {"id": 1, "op": "batch_norm", "channels": 4},
             {"id": 2, "op": "max_pool", "kernel": 2, "stride": np.int64(2)},
             {"id": 3, "op": "flatten"},
@@ -277,6 +278,21 @@ def typed_doc():
     (("vertices", 0, "input"), 0.7, "vertex 0: 'input'"),
     (("input_shapes", 0, 1), 3.9, "input_shapes[0]"),
     (("edges", 0, 1), 1.2, "edge 0: target"),
+    (("edges", 0), [0], "edge 0"),
+    (("edges", 1), 5, "edge 1"),
+    (("input_shapes", 0), 4, "input_shapes[0]"),
+    (("vertices", 2), {"op": "max_pool", "kernel": 2, "stride": 2}, "vertices[2]: 'id'"),
+    (("vertices", 3, "name"), 5, "vertex 3: 'name'"),
+    (("vertices", 0, "params", "bias"), ["1", "2", "3", "4"], "vertex 0: parameter 'bias'"),
+    (("vertices", 0, "params", "bias"), [True, False, True, False],
+     "vertex 0: parameter 'bias'"),
+    (("vertices", 0, "params", "bias"), [True, 1.5, 2.0, 3.0], "vertex 0: parameter 'bias'"),
+    (("vertices", 0, "params", "bias"), [float("nan"), 1.0, 2.0, 3.0],
+     "vertex 0: parameter 'bias'"),
+    (("vertices", 1, "params"), {"running_var": [1.0, float("inf"), 1.0, 1.0]},
+     "vertex 1: parameter 'running_var'"),
+    (("vertices", 4, "params"), {"weight": [[0.5] * 64, [0.5] * 63 + [None]]},
+     "vertex 4: parameter 'weight'"),
 ])
 def test_graph_document_values_are_not_coerced(path, value, named):
     doc = typed_doc()
