@@ -20,13 +20,12 @@ import os
 import sys
 
 from .compression import verify_equivalence
-from .datasets import GroupSparseProblem
+from .datasets import GroupSparseProblem, dataset_spec
 from .errors import ConfigError, ZigpruneError
 from .graph import export_dot, infer_shapes, load_graph
 from .harness import (
     ExperimentConfig,
     build_dataset,
-    check_dataset_keys,
     compress_and_verify,
     evaluate_graph,
     rng_streams,
@@ -132,12 +131,10 @@ def cmd_report(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    spec = dict(cfg.dataset)
-    kind = spec.pop("kind", None)
+    kind, spec = dataset_spec(cfg.dataset)
     if kind != "synthetic-regression":
         raise ConfigError(f"ablate expects a synthetic-regression dataset, got {kind!r}")
     sweep = spec.pop("lambda_sweep", [1e-3, 1e-2, 1e-1, 1e0, 1e1])
-    check_dataset_keys(kind, spec, GroupSparseProblem)
     problem = GroupSparseProblem(**spec)
     table = run_ablation_dhspg_vs_hspg(
         problem, sweep, target_zero_groups=cfg.optimizer.target_zero_groups,

@@ -10,11 +10,12 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Annotated, Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import (ConfigError, Count, NonNegative, Size, check_fields, check_value,
+                     field_types)
 
 
 # ---------------------------------------------------------------------------
@@ -23,11 +24,11 @@ from .errors import ConfigError
 
 @dataclass
 class GroupSparseProblem:
-    n_samples: int = 500
-    n_groups: int = 10
-    group_size: int = 5
-    support_size: int = 4
-    noise: float = 0.01
+    n_samples: Size = 500
+    n_groups: Size = 10
+    group_size: Size = 5
+    support_size: Count = 4
+    noise: NonNegative = 0.01
 
     @property
     def n_features(self) -> int:
@@ -105,11 +106,13 @@ _CLASS_MEANS = np.array([
 ])
 
 
-def gen_synthetic_classification(seed: int, n_train: int = 8000,
-                                 n_test: int = 2000, noise: float = 1.0,
-                                 mean_scale: float = 0.12,
-                                 image=(3, 16, 16)) -> ClassificationData:
-    """Gaussian blobs rendered as images with class-dependent channel means."""
+def gen_synthetic_classification(
+        seed: int, n_train: Count = 8000, n_test: Count = 2000, noise: NonNegative = 1.0,
+        mean_scale: float = 0.12,
+        image: tuple[Annotated[int, "[1, 3]"], Size, Size] = (3, 16, 16),
+) -> ClassificationData:
+    """Gaussian blobs rendered as images with class-dependent channel means:
+    ``image`` is (channels, height, width), at most one channel per mean."""
     rng = np.random.default_rng(seed)
     n_classes = _CLASS_MEANS.shape[0]
     c, h, w = image
@@ -172,6 +175,26 @@ def load_image_csv(directory: str, scale: float = 1.0 / 255.0) -> Classification
     x_test, y_test = load("test.csv")
     n_classes = int(max(y_train.max(), y_test.max())) + 1
     return ClassificationData(x_train, y_train, x_test, y_test, n_classes)
+
+
+# Per dataset kind: the annotation of each key but "kind", and the keys it needs.
+DATASET_SPECS = {
+    "synthetic-classification": (
+        {k: t for k, t in field_types(gen_synthetic_classification).items() if k != "seed"}, ()),
+    "synthetic-regression": (
+        {**field_types(GroupSparseProblem), "lambda_sweep": list[NonNegative]}, ()),
+    "image-csv": ({"dir": str}, ("dir",)),
+}
+
+
+def dataset_spec(spec: dict) -> tuple[str, dict]:
+    """A dataset spec's kind and its other keys, checked against the kind's
+    entry of ``DATASET_SPECS``."""
+    spec = dict(check_value(spec, dict, "dataset"))
+    kind = check_value(spec.pop("kind", None),
+                       Annotated[str, tuple(DATASET_SPECS)], "dataset 'kind'")
+    types, required = DATASET_SPECS[kind]
+    return kind, check_fields(spec, types, kind, required=required)
 
 
 # ---------------------------------------------------------------------------

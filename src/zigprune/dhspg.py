@@ -31,45 +31,41 @@ group: ``penalized``, ``frozen``, ``penalty``, ``cos_theta``, ``salience``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
-from .errors import ConfigError, KExceedsGroupCount
+from .errors import ConfigError, Count, KExceedsGroupCount, NonNegative, Size, check_fields
 
 MODES = ("dhspg", "hspg", "sgd")
 
 
 @dataclass
 class OptimizerConfig:
-    learning_rate: float = 0.1
-    lr_decay: float = 0.1            # multiplier applied every period
-    lr_period_epochs: int = 10
-    lr_floor: float = 1e-4
-    momentum: float = 0.9
-    target_zero_groups: int = 0      # ignored in hspg/sgd modes
-    warmup_steps: Optional[int] = None          # None: harness picks half a period
-    project_start_step: Optional[int] = None
-    norm_floor: float = 1e-6         # safeguard denominator
-    default_penalty: float = 1e-3    # coefficient when no adjustment is needed
-    penalty_amplify: float = 2.0
-    project_epsilon: float = 0.0
-    global_penalty: float = 1e-3     # hspg mode's single coefficient
-    salience_cos_weight: float = 0.5
-    salience_mag_weight: float = 0.5
-    mode: str = "dhspg"
+    learning_rate: Annotated[float, "(0, inf)"] = 0.1
+    lr_decay: NonNegative = 0.1      # multiplier applied every period
+    lr_period_epochs: Size = 10
+    lr_floor: NonNegative = 1e-4
+    momentum: Annotated[float, "[0, 1)"] = 0.9
+    target_zero_groups: Count = 0    # ignored in hspg/sgd modes
+    warmup_steps: Optional[Count] = None        # None: harness picks half a period
+    project_start_step: Optional[Count] = None
+    norm_floor: Annotated[float, "(0, inf)"] = 1e-6  # safeguard denominator
+    default_penalty: NonNegative = 1e-3  # coefficient when no adjustment is needed
+    penalty_amplify: Annotated[float, "[1, inf)"] = 2.0
+    project_epsilon: Annotated[float, "[0, 1)"] = 0.0
+    global_penalty: NonNegative = 1e-3   # hspg mode's single coefficient
+    salience_cos_weight: NonNegative = 0.5
+    salience_mag_weight: NonNegative = 0.5
+    mode: Annotated[str, MODES] = "dhspg"
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.project_epsilon < 1.0:
-            raise ConfigError("project_epsilon must lie in [0, 1)")
-        if self.norm_floor <= 0:
-            raise ConfigError("norm_floor must be positive")
+        """Raise a ConfigError naming the first field outside its
+        annotation, or when warm-up ends after projection starts."""
+        check_fields(vars(self), OptimizerConfig, "optimizer")
         if (self.warmup_steps or 0) > (self.project_start_step or 0):
-            raise ConfigError("projection cannot start before warm-up ends")
-        if self.target_zero_groups < 0:
-            raise ConfigError("target_zero_groups must be nonnegative")
+            raise ConfigError("optimizer 'warmup_steps' must not exceed 'project_start_step' "
+                              "(projection cannot start before warm-up ends)")
 
 
 def choose_penalty(cos_theta, grad_norm, default_penalty: float, amplify: float):

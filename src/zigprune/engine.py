@@ -120,19 +120,22 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
     op's own cache, which keeps whatever that op's backward reads, so an
     activation no op cache references is freed during the pass.
 
-    Eval mode walks the batch ``EVAL_BATCH`` samples at a time, every graph
-    input sliced alike, each walk with its own memo, and concatenates the
-    outputs; a batch of at most ``EVAL_BATCH`` samples is one walk with no
-    copy. Each op's cache is dropped as the op returns.
+    A train-mode forward of an empty batch is a ShapeMismatch. Eval mode
+    walks the batch ``EVAL_BATCH`` samples at a time, every graph input
+    sliced alike, each walk with its own memo, and concatenates the outputs;
+    a batch of at most ``EVAL_BATCH`` samples is one walk with no copy. Each
+    op's cache is dropped as the op returns.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     xs = _as_batch_list(g, inputs)
     out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
+    n = len(xs[0])
     if mode == "train":
+        if not n:
+            raise ShapeMismatch("a train-mode forward needs a sample; the batch is empty")
         out, vcaches = _walk(g, xs, out_id, mode)
         return out, {"out": out, "vcaches": vcaches, "out_id": out_id}
-    n = len(xs[0])
     if n <= EVAL_BATCH:
         return _walk(g, xs, out_id, mode)[0], None
     outs = [_walk(g, [x[lo:lo + EVAL_BATCH] for x in xs], out_id, mode)[0]

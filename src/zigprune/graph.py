@@ -29,6 +29,12 @@ optional ``"input": i`` attribute naming the ``input_shapes`` entry it reads
 (default 0), so several roots may share one input. The input order of a joint
 vertex is the first-appearance order of its incoming edges in the edge list
 (this fixes Concat channel layout).
+
+``build_graph`` checks every value through ``errors.check_value`` and converts
+none: an op attribute against its kind's field annotation in ``ops.py`` (a
+size is an integer >= 1, ``has_bias`` a bool), ids, edge ends and input dims
+as integers, parameters as finite numbers. A malformed value is a GraphError
+naming the vertex and the field.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CycleDetected, DanglingEdge, GraphError, UnknownKindString
+from .errors import (CycleDetected, DanglingEdge, GraphError, Size, UnknownKindString,
+                     check_fields, check_value, field_types)
 # The op kinds, their categories and ParameterSet are re-exported from here.
 from .ops import (ACCESSORY, KINDS, OUTPUT, SD_JOINT, SID_JOINT, STEM,  # noqa: F401
                   TRAINABLE_ROLES, UNKNOWN, Add, AvgPool, BatchNorm, Concat, Conv2d,
@@ -48,6 +55,7 @@ from .ops import (ACCESSORY, KINDS, OUTPUT, SD_JOINT, SID_JOINT, STEM,  # noqa: 
                   ReLU, Unknown)
 
 _KIND_BY_OP = {k.op: k for k in KINDS}
+_REQUIRED = {k: [f.name for f in fields(k) if f.default is MISSING] for k in KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -133,75 +141,32 @@ class ComputationGraph:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _doc_int(value, where: str, low: Optional[int] = None) -> int:
-    """A document's integer as an int: a Python or numpy integer, not a bool,
-    and at least ``low`` when given; anything else is a GraphError naming
-    ``where``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise GraphError(f"{where} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise GraphError(f"{where} must be at least {low}, got {value}")
-    return int(value)
-
-
 def _kind_from_doc(vid: int, vdoc: dict) -> OpKind:
-    """A kind's document attributes are its dataclass fields; one with a
-    default is optional. Integer fields are sizes of at least 1, or a
-    padding of at least 0; a bool field takes only a bool and a str field
-    only a str."""
+    """The vertex's kind, its attributes checked against the kind's field
+    annotations; a field with a default is optional."""
     op = vdoc.get("op")
     cls = _KIND_BY_OP.get(op)
     if cls is None:
         raise UnknownKindString(f"unrecognized op string {op!r}")
-    kw = {}
-    for f in fields(cls):
-        where = f"vertex {vid}: {op} attribute {f.name!r}"
-        if f.name in vdoc:
-            value = vdoc[f.name]
-        elif f.default is not MISSING:
-            value = f.default
-        else:
-            raise GraphError(f"{where} is required")
-        if f.type == "int":
-            value = _doc_int(value, where, low=0 if f.name == "padding" else 1)
-        elif not isinstance(value, {"bool": bool, "str": str}[f.type]):
-            raise GraphError(f"{where} must be a {f.type}, got {value!r}")
-        kw[f.name] = value
-    return cls(**kw)
-
-
-def _doc_floats(value, where: str) -> np.ndarray:
-    """A document's nested list of numbers as a float array: every entry a
-    Python or numpy integer or float, not a bool, and finite; anything else
-    is a GraphError naming ``where``."""
-    entries = np.asarray(value, dtype=object)
-    for t in set(map(type, entries.flat)):
-        if not issubclass(t, (int, float, np.integer, np.floating)) or issubclass(t, bool):
-            raise GraphError(f"{where} must hold numbers, got a {t.__name__}")
-    arr = entries.astype(float)
-    if not np.isfinite(arr).all():
-        raise GraphError(f"{where} must hold finite numbers")
-    return arr
+    types = field_types(cls)
+    attrs = {name: vdoc[name] for name in types if name in vdoc}
+    return cls(**check_fields(attrs, types, f"vertex {vid}: {op} attribute", GraphError,
+                              _REQUIRED[cls]))
 
 
 def _params_from_doc(vid: int, kind: OpKind, pdoc: Optional[dict]) -> Optional[ParameterSet]:
+    """The kind's default parameters with the tensors ``pdoc`` gives, each
+    checked as finite numbers of the default's shape."""
     base = kind.default_params()
-    if base is None:
-        if pdoc:
-            raise GraphError(f"vertex {vid}: op {kind.op!r} does not carry parameters")
-        return None
     if pdoc is None:
         return base
-    for key, val in pdoc.items():
-        where = f"vertex {vid}: parameter {key!r}"
-        if not hasattr(base, key):
-            raise GraphError(f"{where} is not a parameter field")
+    tensors = {} if base is None else \
+        {k: np.ndarray for k, v in vars(base).items() if v is not None}
+    for key, arr in check_fields(pdoc, tensors, f"vertex {vid}: parameter", GraphError).items():
         ref = getattr(base, key)
-        if ref is None:
-            raise GraphError(f"{where}: op {kind.op!r} has no such tensor")
-        arr = _doc_floats(val, where)
         if arr.shape != ref.shape:
-            raise GraphError(f"{where} has shape {arr.shape}, expected {ref.shape}")
+            raise GraphError(f"vertex {vid}: parameter {key!r} has shape {arr.shape}, "
+                             f"expected {ref.shape}")
         setattr(base, key, arr)
     return base
 
@@ -219,40 +184,34 @@ def build_graph(doc: dict) -> ComputationGraph:
     for i, vdoc in enumerate(doc.get("vertices", [])):
         if "id" not in vdoc:
             raise GraphError(f"vertices[{i}]: 'id' is required")
-        vid = _doc_int(vdoc["id"], f"vertex {vdoc['id']!r}: 'id'")
+        vid = check_value(vdoc["id"], int, f"vertex {vdoc['id']!r}: 'id'", GraphError)
         if vid in vertices:
             raise GraphError(f"duplicate vertex id {vid}")
         kind = _kind_from_doc(vid, vdoc)
         params = _params_from_doc(vid, kind, vdoc.get("params"))
-        name = vdoc.get("name", "")
-        if not isinstance(name, str):
-            raise GraphError(f"vertex {vid}: 'name' must be a str, got {name!r}")
+        name = check_value(vdoc.get("name", ""), str, f"vertex {vid}: 'name'", GraphError)
         vertices[vid] = Vertex(id=vid, kind=kind, name=name, params=params)
         if "input" in vdoc:
-            binding[vid] = _doc_int(vdoc["input"], f"vertex {vid}: 'input'")
+            binding[vid] = check_value(vdoc["input"], int, f"vertex {vid}: 'input'",
+                                       GraphError)
 
     edges = []
     for i, edge in enumerate(doc.get("edges", [])):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise GraphError(f"edge {i} must be a [source, target] list, got {edge!r}")
-        edges.append((_doc_int(edge[0], f"edge {i}: source"),
-                      _doc_int(edge[1], f"edge {i}: target")))
+        edges.append(tuple(check_value(v, int, f"edge {i}: {end}", GraphError)
+                           for v, end in zip(edge, ("source", "target"))))
     input_shapes = []
     for i, shape in enumerate(doc.get("input_shapes", [])):
-        if not isinstance(shape, (list, tuple)):
-            raise GraphError(f"input_shapes[{i}] must be a list, got {shape!r}")
-        input_shapes.append(tuple(_doc_int(d, f"input_shapes[{i}]") for d in shape))
-        _check_shape(input_shapes[-1])
+        shape = tuple(check_value(shape, list[Size], f"input_shapes[{i}]", GraphError))
+        if len(shape) not in (2, 4):
+            raise GraphError(f"input_shapes[{i}] {shape} must be rank 2 or 4")
+        input_shapes.append(shape)
 
     g = ComputationGraph(vertices=vertices, edges=edges, input_shapes=input_shapes,
                          input_binding=binding)
     _validate_arity(g)
     return g
-
-
-def _check_shape(shape: tuple[int, ...]) -> None:
-    if len(shape) not in (2, 4) or any(d < 1 for d in shape):
-        raise GraphError(f"shape {shape} must be rank 2 or 4 with positive dims")
 
 
 def _validate_arity(g: ComputationGraph) -> None:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import gc
-import inspect
 import json
 import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .datasets import (
     ClassificationData,
     GroupSparseProblem,
     RegressionData,
+    dataset_spec,
     gen_synthetic_classification,
     gen_synthetic_regression,
     load_image_csv,
@@ -37,7 +37,8 @@ from .datasets import (
 )
 from .dhspg import DhspgOptimizer, OptimizerConfig
 from .engine import EVAL_BATCH, accuracy, backward, evaluate_loss, forward
-from .errors import AllGroupsZeroInComponent, ConfigError, TrainingDiverged
+from .errors import (AllGroupsZeroInComponent, ConfigError, Count, NonNegative, Size,
+                     TrainingDiverged, check_fields, check_value, field_types)
 from .graph import count_flops_params, infer_shapes, init_params, load_graph, save_graph
 from .paramvec import ParamIndex
 from .partition import PartitionResult, partition
@@ -54,33 +55,35 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 # configuration
 # ---------------------------------------------------------------------------
 
+LOSSES = ("cross_entropy", "mse")
+GRAPH_SPEC = {"builder": Annotated[str, tuple(BUILDERS)], "path": str}
+
+
 @dataclass
 class ExperimentConfig:
     graph: dict = field(default_factory=lambda: {"builder": "demo_net"})
     dataset: dict = field(default_factory=lambda: {"kind": "synthetic-classification"})
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    epochs: int = 30
-    batch_size: int = 128
-    seed: int = 0
+    epochs: Count = 30
+    batch_size: Size = 128
+    seed: Count = 0
     output_dir: str = "run"
-    loss: str = "cross_entropy"
-    target_zero_fraction: Optional[float] = None
-    equivalence_trials: int = 100
-    equivalence_tol: float = 1e-9
+    loss: Annotated[str, LOSSES] = "cross_entropy"
+    target_zero_fraction: Optional[Annotated[float, "[0, 1]"]] = None
+    equivalence_trials: Size = 100
+    equivalence_tol: NonNegative = 1e-9
 
     @staticmethod
     def from_doc(doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        opt_doc = doc.pop("optimizer", {})
-        for what, cls, keys in (("config", ExperimentConfig, doc),
-                                ("optimizer", OptimizerConfig, opt_doc)):
-            unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
-            if unknown:
-                raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-        cfg = ExperimentConfig(optimizer=OptimizerConfig(**opt_doc), **doc)
-        for name, low in (("batch_size", 1), ("equivalence_trials", 1),
-                          ("epochs", 0), ("seed", 0)):
-            _check_int(name, getattr(cfg, name), low)
+        """The config in ``doc``, each value checked against its field's
+        annotation, the graph spec's or the dataset kind's, and not
+        converted; a ConfigError names the key at fault."""
+        doc = check_fields(doc, {**field_types(ExperimentConfig), "optimizer": dict}, "config")
+        optimizer = check_fields(doc.pop("optimizer", {}), OptimizerConfig, "optimizer")
+        cfg = ExperimentConfig(optimizer=OptimizerConfig(**optimizer), **doc)
+        cfg.optimizer.validate()
+        check_fields(cfg.graph, GRAPH_SPEC, "graph")
+        dataset_spec(cfg.dataset)
         return cfg
 
     @staticmethod
@@ -89,22 +92,12 @@ class ExperimentConfig:
             cfg = ExperimentConfig.from_doc(json.load(fh))
         env_seed = os.environ.get("ZIGPRUNE_SEED")
         if env_seed is not None:
-            try:
-                cfg.seed = int(env_seed)
-            except ValueError:
-                raise ConfigError(
-                    f"ZIGPRUNE_SEED must be an integer, got {env_seed!r}") from None
-            _check_int("ZIGPRUNE_SEED", cfg.seed, 0)
+            cfg.seed = check_value(int(env_seed) if env_seed.lstrip("-").isdecimal()
+                                   else env_seed, Count, "ZIGPRUNE_SEED")
         return cfg
 
     def to_doc(self) -> dict:
-        doc = dataclasses.asdict(self)
-        return doc
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if type(value) is not int or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        return dataclasses.asdict(self)
 
 
 def resolve_target_groups(part: PartitionResult, cfg: ExperimentConfig) -> int:
@@ -131,12 +124,9 @@ def _resolve_phase_steps(opt_cfg: OptimizerConfig, steps_per_epoch: int) -> Opti
 
 
 def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generator):
-    spec = cfg.graph
+    spec = check_fields(cfg.graph, GRAPH_SPEC, "graph")
     if "builder" in spec:
-        name = spec["builder"]
-        if name not in BUILDERS:
-            raise ConfigError(f"unknown builder {name!r}; have {sorted(BUILDERS)}")
-        g = BUILDERS[name]()
+        g = BUILDERS[spec["builder"]]()
         init_params(g, rng_params)
         return g
     if "path" in spec:
@@ -148,30 +138,15 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
     raise ConfigError("graph spec needs 'builder' or 'path'")
 
 
-def check_dataset_keys(kind: str, spec: dict, make, exclude=frozenset()) -> None:
-    """Raise a ConfigError naming the keys of a ``kind`` dataset spec that
-    are not parameters of ``make``, the callable the spec is passed to, or
-    that are in ``exclude``."""
-    unknown = set(spec) - (set(inspect.signature(make).parameters) - set(exclude))
-    if unknown:
-        raise ConfigError(f"unknown {kind} keys: {sorted(unknown)}")
-
-
 def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> ClassificationData:
-    """The configured dataset. Raises ConfigError for a kind the pipeline
-    cannot train on, or when the train or the test split is empty."""
-    spec = dict(cfg.dataset)
-    kind = spec.pop("kind", None)
+    """The configured dataset. Raises ConfigError for a spec its kind
+    rejects, a kind the pipeline cannot train on, or when the train or the
+    test split is empty."""
+    kind, spec = dataset_spec(cfg.dataset)
     if kind == "synthetic-classification":
-        check_dataset_keys(kind, spec, gen_synthetic_classification, exclude={"seed"})
-        for name in ("n_train", "n_test"):
-            if name in spec:
-                _check_int(name, spec[name], 0)
         seed = int(rng_data.integers(1 << 31))
         data = gen_synthetic_classification(seed=seed, **spec)
     elif kind == "image-csv":
-        if "dir" not in spec:
-            raise ConfigError("an image-csv dataset needs 'dir'")
         data = load_image_csv(spec["dir"])
     else:
         raise ConfigError(f"dataset kind {kind!r} is not trainable by the graph "
@@ -383,21 +358,21 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
 
     Writes partition.json, training_log.csv, graph_full.json,
     graph_compressed.json, compression.json, equivalence.json, metrics.json
-    and a copy of the config into the output directory.
+    and a copy of the config into the output directory, which is made only
+    once the config is checked and the graph, target and dataset are built.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    cfg = ExperimentConfig.from_doc(cfg.to_doc())
     streams = rng_streams(cfg.seed)
-    _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
-
     g = build_experiment_graph(cfg, streams["params"])
     part = partition(g)
-    with open(os.path.join(cfg.output_dir, "partition.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(part.to_json())
-
     target = resolve_target_groups(part, cfg)
     data = build_dataset(cfg, streams["data"])
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
+    with open(os.path.join(cfg.output_dir, "partition.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write(part.to_json())
     opt, rows = train_graph(g, part, data, cfg, streams["batches"],
                             target_groups=target)
     write_training_log(os.path.join(cfg.output_dir, "training_log.csv"), rows)
@@ -467,25 +442,17 @@ def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,
                                        lr_period_epochs=max(epochs, 1),
                                        default_penalty=0.1)
     data = gen_synthetic_regression(problem, seed)
+    runs = [("dhspg", f"K={target_zero_groups}",
+             dataclasses.replace(base, mode="dhspg", target_zero_groups=target_zero_groups))]
+    runs += [("hspg", f"lambda={lam:g}", dataclasses.replace(base, mode="hspg",
+                                                             global_penalty=float(lam)))
+             for lam in lambda_sweep]
     rows = []
-
-    cfg = dataclasses.replace(base, mode="dhspg",
-                              target_zero_groups=target_zero_groups)
-    opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
-    zeros = opt.zero_group_ids()
-    rows.append({
-        "method": "dhspg", "setting": f"K={target_zero_groups}",
-        "zero_groups": len(zeros), "zero_group_ids": zeros,
-        "objective": data.objective(opt.x),
-        "support_recovered": sorted(set(range(problem.n_groups)) - set(zeros))
-        == data.support,
-    })
-    for lam in lambda_sweep:
-        cfg = dataclasses.replace(base, mode="hspg", global_penalty=float(lam))
+    for method, setting, cfg in runs:
         opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
         zeros = opt.zero_group_ids()
         rows.append({
-            "method": "hspg", "setting": f"lambda={lam:g}",
+            "method": method, "setting": setting,
             "zero_groups": len(zeros), "zero_group_ids": zeros,
             "objective": data.objective(opt.x),
             "support_recovered": sorted(set(range(problem.n_groups)) - set(zeros))

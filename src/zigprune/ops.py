@@ -1,8 +1,9 @@
 """Op kinds of the graph IR: one frozen dataclass per op.
 
 A kind's fields are its document attributes (a field with a default is
-optional). Its methods, documented on ``OpKind``, are all the rest of the
-system knows about the op: shape, FLOPs, parameters, execution and surgery.
+optional; its annotation, bound included, is what a value must be). Its
+methods, documented on ``OpKind``, are all the rest of the system knows
+about the op: shape, FLOPs, parameters, execution and surgery.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Iterator, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FlattenWithoutKnownSpatialDims, GraphError, ShapeMismatchAtSDJoint
+from .errors import (Count, FlattenWithoutKnownSpatialDims, GraphError, ShapeMismatchAtSDJoint,
+                     Size)
 
 # Vertex categories.
 STEM = "stem"
@@ -217,11 +219,11 @@ class OpKind:
 
 @dataclass(frozen=True)
 class Conv2d(OpKind):
-    kernel: int
-    stride: int
-    padding: int
-    in_channels: int
-    out_channels: int
+    kernel: Size
+    stride: Size
+    padding: Count
+    in_channels: Size
+    out_channels: Size
     has_bias: bool = True
 
     op = "conv2d"
@@ -293,8 +295,8 @@ class Conv2d(OpKind):
 
 @dataclass(frozen=True)
 class Linear(OpKind):
-    in_features: int
-    out_features: int
+    in_features: Size
+    out_features: Size
     has_bias: bool = True
 
     op = "linear"
@@ -348,7 +350,7 @@ class Linear(OpKind):
 
 @dataclass(frozen=True)
 class BatchNorm(OpKind):
-    channels: int
+    channels: Size
 
     op = "batch_norm"
 
@@ -482,8 +484,8 @@ class ReLU(OpKind):
 
 @dataclass(frozen=True)
 class _Pool(OpKind):
-    kernel: int
-    stride: int
+    kernel: Size
+    stride: Size
 
     def infer_shape(self, in_shapes, vid):
         (n, c, h, w), = in_shapes

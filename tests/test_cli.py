@@ -126,6 +126,8 @@ def test_ablate_command(tmp_path, capsys):
 @pytest.mark.parametrize("dataset, named", [
     ({"kind": "synthetic-regression", "n_sampels": 300}, "n_sampels"),
     ({"kind": "synthetic-classification"}, "synthetic-regression"),
+    ({"kind": "synthetic-regression", "n_groups": "10"}, "'n_groups'"),
+    ({"kind": "synthetic-regression", "lambda_sweep": "x"}, "'lambda_sweep'"),
 ])
 def test_ablate_rejects_a_bad_dataset_with_a_config_error(tmp_path, capsys, dataset, named):
     path = tmp_path / "ab.json"
@@ -152,11 +154,12 @@ def test_error_exit_code(tmp_path):
 def test_partition_rejects_a_non_finite_parameter(graph_file, tmp_path, capsys):
     with open(graph_file, encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["vertices"][0]["params"]["bias"][0] = float("nan")
-    bad = tmp_path / "nan.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["partition", str(bad)]) == 2
-    assert "vertex 0: parameter 'bias'" in capsys.readouterr().err
+    for value in (float("nan"), 10**400):
+        doc["vertices"][0]["params"]["bias"][0] = value
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["partition", str(bad)]) == 2
+        assert "vertex 0: parameter 'bias'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", [0, -3, 2.5])
@@ -188,8 +191,27 @@ def test_train_accepts_zero_epochs(tmp_path, monkeypatch):
     ({"epochs": "3"}, None, "epochs"),
     ({"dataset": {"kind": "synthetic-classification", "n_train": -5}}, None, "n_train"),
     ({"graph": {"path": "no_such_graph.json"}}, None, "no_such_graph.json"),
+    ({"loss": "hinge"}, None, "'loss'"),
+    ({"target_zero_fraction": "0.5"}, None, "'target_zero_fraction'"),
+    ({"dataset": {"kind": "synthetic-classification", "noise": "x"}}, None, "'noise'"),
+    ({"dataset": {"kind": "synthetic-classification", "image": 5}}, None, "'image'"),
+    ({"optimizer": {"learning_rate": "x"}}, None, "'learning_rate'"),
+    ({"optimizer": {"momentum": "0.9"}}, None, "'momentum'"),
+    ({"optimizer": {"lr_period_epochs": 0}}, None, "'lr_period_epochs'"),
+    ({"equivalence_tol": "x"}, None, "'equivalence_tol'"),
+    ({"output_dir": 5}, None, "'output_dir'"),
+    ({"graph": 5}, None, "'graph'"),
+    ({"dataset": {"kind": "image-csv", "dir": 5}}, None, "'dir'"),
+    ({"optimizer": {"penalty_amplify": "big"}}, None, "'penalty_amplify'"),
+    ({"optimizer": {"salience_cos_weight": None}}, None, "'salience_cos_weight'"),
+    ({"optimizer": {"warmup_steps": -3}}, None, "'warmup_steps'"),
+    ({"equivalence_tol": -1}, None, "'equivalence_tol'"),
+    ({"graph": {"path": 5}}, None, "'path'"),
 ], ids=["seed", "batch_size", "synthetic_key", "csv_dir", "config_seed", "epochs",
-        "negative_n_train", "graph_path"])
+        "negative_n_train", "graph_path", "loss", "fraction_str", "noise_str", "image_int",
+        "lr_str", "momentum_str", "lr_period_zero", "tol_str", "output_dir_int", "graph_int",
+        "csv_dir_int", "amplify_str", "salience_null", "negative_warmup", "negative_tol",
+        "graph_path_int"])
 def test_train_rejects_bad_outside_config(tmp_path, monkeypatch, capsys, doc, env_seed,
                                           needle):
     if env_seed is None:
@@ -197,10 +219,11 @@ def test_train_rejects_bad_outside_config(tmp_path, monkeypatch, capsys, doc, en
     else:
         monkeypatch.setenv("ZIGPRUNE_SEED", env_seed)
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "run")}),
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "run"), **doc}),
                     encoding="utf-8")
     assert main(["train", str(path)]) == 2
     assert needle in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.json"]
 
 
 def test_train_rejects_a_graph_file_that_is_not_json(tmp_path, capsys):

@@ -294,6 +294,9 @@ def test_shape_mismatch_rejected():
     g = demo_net()
     with pytest.raises(ShapeMismatch):
         forward(g, np.zeros((1, 3, 8, 8)))
+    with pytest.raises(ShapeMismatch, match="the batch is empty"):
+        forward(g, np.zeros((0, 3, 16, 16)), mode="train")
+    assert forward(g, np.zeros((0, 3, 16, 16)), mode="eval")[0].shape == (0, 10)
 
 
 def test_unknown_op_not_executable():
