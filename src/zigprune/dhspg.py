@@ -61,9 +61,11 @@ class OptimizerConfig:
 
     def validate(self) -> None:
         """Raise a ConfigError naming the first field outside its
-        annotation, or when warm-up ends after projection starts."""
+        annotation, or when warm-up ends after projection starts; a step
+        left None is set by the harness, which validates again."""
         check_fields(vars(self), OptimizerConfig, "optimizer")
-        if (self.warmup_steps or 0) > (self.project_start_step or 0):
+        warm, proj = self.warmup_steps, self.project_start_step
+        if warm is not None and proj is not None and warm > proj:
             raise ConfigError("optimizer 'warmup_steps' must not exceed 'project_start_step' "
                               "(projection cannot start before warm-up ends)")
 

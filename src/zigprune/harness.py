@@ -76,14 +76,12 @@ class ExperimentConfig:
     @staticmethod
     def from_doc(doc: dict) -> "ExperimentConfig":
         """The config in ``doc``, each value checked against its field's
-        annotation, the graph spec's or the dataset kind's, and not
-        converted; a ConfigError names the key at fault."""
+        annotation and not converted; a ConfigError names the key at fault.
+        The graph and dataset specs are checked where they are built."""
         doc = check_fields(doc, {**field_types(ExperimentConfig), "optimizer": dict}, "config")
         optimizer = check_fields(doc.pop("optimizer", {}), OptimizerConfig, "optimizer")
         cfg = ExperimentConfig(optimizer=OptimizerConfig(**optimizer), **doc)
         cfg.optimizer.validate()
-        check_fields(cfg.graph, GRAPH_SPEC, "graph")
-        dataset_spec(cfg.dataset)
         return cfg
 
     @staticmethod
@@ -92,8 +90,11 @@ class ExperimentConfig:
             cfg = ExperimentConfig.from_doc(json.load(fh))
         env_seed = os.environ.get("ZIGPRUNE_SEED")
         if env_seed is not None:
-            cfg.seed = check_value(int(env_seed) if env_seed.lstrip("-").isdecimal()
-                                   else env_seed, Count, "ZIGPRUNE_SEED")
+            try:
+                seed = int(env_seed)
+            except ValueError:  # not an integer: check_value names it
+                seed = env_seed
+            cfg.seed = check_value(seed, Count, "ZIGPRUNE_SEED")
         return cfg
 
     def to_doc(self) -> dict:
@@ -359,7 +360,8 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     Writes partition.json, training_log.csv, graph_full.json,
     graph_compressed.json, compression.json, equivalence.json, metrics.json
     and a copy of the config into the output directory, which is made only
-    once the config is checked and the graph, target and dataset are built.
+    once the config is checked, the graph, target and dataset are built and
+    the warm-up and projection steps are resolved.
     """
     cfg = ExperimentConfig.from_doc(cfg.to_doc())
     streams = rng_streams(cfg.seed)
@@ -367,6 +369,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     part = partition(g)
     target = resolve_target_groups(part, cfg)
     data = build_dataset(cfg, streams["data"])
+    _resolve_phase_steps(cfg.optimizer, math.ceil(len(data.x_train) / cfg.batch_size)).validate()
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
@@ -442,17 +445,25 @@ def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,
                                        lr_period_epochs=max(epochs, 1),
                                        default_penalty=0.1)
     data = gen_synthetic_regression(problem, seed)
-    runs = [("dhspg", f"K={target_zero_groups}",
-             dataclasses.replace(base, mode="dhspg", target_zero_groups=target_zero_groups))]
-    runs += [("hspg", f"lambda={lam:g}", dataclasses.replace(base, mode="hspg",
-                                                             global_penalty=float(lam)))
-             for lam in lambda_sweep]
     rows = []
-    for method, setting, cfg in runs:
+
+    cfg = dataclasses.replace(base, mode="dhspg",
+                              target_zero_groups=target_zero_groups)
+    opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
+    zeros = opt.zero_group_ids()
+    rows.append({
+        "method": "dhspg", "setting": f"K={target_zero_groups}",
+        "zero_groups": len(zeros), "zero_group_ids": zeros,
+        "objective": data.objective(opt.x),
+        "support_recovered": sorted(set(range(problem.n_groups)) - set(zeros))
+        == data.support,
+    })
+    for lam in lambda_sweep:
+        cfg = dataclasses.replace(base, mode="hspg", global_penalty=float(lam))
         opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
         zeros = opt.zero_group_ids()
         rows.append({
-            "method": method, "setting": setting,
+            "method": "hspg", "setting": f"lambda={lam:g}",
             "zero_groups": len(zeros), "zero_group_ids": zeros,
             "objective": data.objective(opt.x),
             "support_recovered": sorted(set(range(problem.n_groups)) - set(zeros))

@@ -184,6 +184,7 @@ def test_train_accepts_zero_epochs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("doc, env_seed, needle", [
     ({}, "1.5", "ZIGPRUNE_SEED"),
+    ({}, "--5", "ZIGPRUNE_SEED"),
     ({"batch_size": 0}, None, "batch_size"),
     ({"dataset": {"kind": "synthetic-classification", "n_trian": 64}}, None, "n_trian"),
     ({"dataset": {"kind": "image-csv"}}, None, "'dir'"),
@@ -207,11 +208,12 @@ def test_train_accepts_zero_epochs(tmp_path, monkeypatch):
     ({"optimizer": {"warmup_steps": -3}}, None, "'warmup_steps'"),
     ({"equivalence_tol": -1}, None, "'equivalence_tol'"),
     ({"graph": {"path": 5}}, None, "'path'"),
-], ids=["seed", "batch_size", "synthetic_key", "csv_dir", "config_seed", "epochs",
-        "negative_n_train", "graph_path", "loss", "fraction_str", "noise_str", "image_int",
-        "lr_str", "momentum_str", "lr_period_zero", "tol_str", "output_dir_int", "graph_int",
-        "csv_dir_int", "amplify_str", "salience_null", "negative_warmup", "negative_tol",
-        "graph_path_int"])
+    ({"optimizer": {"warmup_steps": 500}}, None, "'warmup_steps'"),
+], ids=["seed", "seed_two_signs", "batch_size", "synthetic_key", "csv_dir", "config_seed",
+        "epochs", "negative_n_train", "graph_path", "loss", "fraction_str", "noise_str",
+        "image_int", "lr_str", "momentum_str", "lr_period_zero", "tol_str", "output_dir_int",
+        "graph_int", "csv_dir_int", "amplify_str", "salience_null", "negative_warmup",
+        "negative_tol", "graph_path_int", "warmup_after_default_projection"])
 def test_train_rejects_bad_outside_config(tmp_path, monkeypatch, capsys, doc, env_seed,
                                           needle):
     if env_seed is None:
