@@ -21,7 +21,7 @@ import sys
 
 from .compression import verify_equivalence
 from .datasets import GroupSparseProblem, dataset_spec
-from .errors import ConfigError, ZigpruneError
+from .errors import ConfigError, Count, ZigpruneError, check_fields
 from .graph import export_dot, infer_shapes, load_graph
 from .harness import (
     ExperimentConfig,
@@ -93,14 +93,29 @@ def cmd_eval(args) -> int:
     return 0 if equiv["passed"] else 1
 
 
+# The keys of a partition document (PartitionResult.to_doc) and of each of
+# its components; viz reads the components' ids and vertices.
+PARTITION_DOC = {"components": list[dict], "groups": list[dict],
+                 "excluded_components": list[dict]}
+COMPONENT_DOC = {"id": Count, "vertices": list[Count], "stems": list[Count],
+                 "accessories": list[Count], "contains_unknown": bool,
+                 "adjacent_to_output": bool, "groups": Count}
+
+
 def cmd_viz(args) -> int:
     g = infer_shapes(load_graph(args.graph))
-    coloring = None
     if args.partition:
-        with open(args.partition, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        coloring = {int(v): comp["id"]
-                    for comp in doc["components"] for v in comp["vertices"]}
+        try:
+            with open(args.partition, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read partition {args.partition!r}: {exc}") from None
+        doc = check_fields(doc, PARTITION_DOC, "partition", required=("components",))
+        coloring = {}
+        for i, comp in enumerate(doc["components"]):
+            comp = check_fields(comp, COMPONENT_DOC, f"partition component {i}",
+                                required=("id", "vertices"))
+            coloring.update(dict.fromkeys(comp["vertices"], comp["id"]))
     else:
         coloring = partition(g).coloring()
     print(export_dot(g, coloring))

@@ -132,21 +132,31 @@ def group_flops_savings(g: ComputationGraph, part: PartitionResult) -> list[int]
     """Per-sample FLOPs saved by removing each group alone, aligned with
     part.zigs.
 
-    Groups of one component have identical shapes, so one group per
-    component is pruned and its saving shared. A component of width 1 can
-    never lose its only group and saves 0.
+    Groups of one component have identical shapes, so each component's
+    first group stands for all of them. One pass over the vertices finds
+    those whose output channels, or whose first input's channels, such a
+    group owns (``part.channel_groups``), narrows each one's kind as
+    ``prune`` would (``narrow`` without parameters) and takes the
+    difference of the kind's ``flops`` before and after. A component of
+    width 1 can never lose its only group and saves 0.
     """
-    flops_full, _ = count_flops_params(g)
-    saving: dict[int, int] = {}
-    for i, z in enumerate(part.zigs):
-        ci = z.component_id
-        if ci in saving:
+    first = {z.position: z.component_id for z in part.zigs
+             if z.group_index == 0 and part.widths[z.component_id] > 1}
+    saving = [0] * len(part.widths)
+    for vid in g.topo_order:
+        vx, preds = g.vertices[vid], g.preds[vid]
+        out = part.channel_groups[vid]
+        ins = part.channel_groups[preds[0]] if preds else []
+        touched = first.keys() & {*out, *ins}
+        if not touched:
             continue
-        if part.widths[ci] < 2:
-            saving[ci] = 0
-            continue
-        small, _ = compress(g, part, make_mask(part, [i]))
-        saving[ci] = flops_full - count_flops_params(small)[0]
+        full = vx.kind.flops(vx.out_shape, len(preds))
+        for p in touched:
+            kept = len(out) - out.count(p)
+            in_map = range(len(ins) - ins.count(p)) if preds else None
+            kind, _ = vx.kind.narrow(None, range(kept), in_map)
+            shape = (vx.out_shape[0], kept, *vx.out_shape[2:])
+            saving[first[p]] += full - kind.flops(shape, len(preds))
     return [saving[z.component_id] for z in part.zigs]
 
 

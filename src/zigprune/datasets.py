@@ -161,8 +161,12 @@ def _read_label_pixel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return x, np.asarray(labels, dtype=int)
 
 
-def load_image_csv(directory: str, scale: float = 1.0 / 255.0) -> ClassificationData:
-    """Load train.csv / test.csv of label,pixel... rows as (N,1,H,W) images."""
+PIXEL_SCALE = 1.0 / 255.0  # 8-bit pixel values to [0, 1]
+
+
+def load_image_csv(directory: str) -> ClassificationData:
+    """Load train.csv / test.csv of label,pixel... rows as (N,1,H,W) images,
+    pixels times ``PIXEL_SCALE``."""
     def load(name):
         x, y = _read_label_pixel_csv(os.path.join(directory, name))
         if not len(y):
@@ -170,7 +174,7 @@ def load_image_csv(directory: str, scale: float = 1.0 / 255.0) -> Classification
         side = math.isqrt(x.shape[1])
         if side * side != x.shape[1]:
             raise ConfigError(f"{name}: {x.shape[1]} pixels is not a square image")
-        return (x * scale).reshape(-1, 1, side, side), y
+        return (x * PIXEL_SCALE).reshape(-1, 1, side, side), y
     x_train, y_train = load("train.csv")
     x_test, y_test = load("test.csv")
     n_classes = int(max(y_train.max(), y_test.max())) + 1

@@ -30,7 +30,7 @@ group: ``penalized``, ``frozen``, ``penalty``, ``cos_theta``, ``salience``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Annotated, Optional
 
 import numpy as np
@@ -48,7 +48,7 @@ class OptimizerConfig:
     lr_floor: NonNegative = 1e-4
     momentum: Annotated[float, "[0, 1)"] = 0.9
     target_zero_groups: Count = 0    # ignored in hspg/sgd modes
-    warmup_steps: Optional[Count] = None        # None: harness picks half a period
+    warmup_steps: Optional[Count] = None        # None: half the first period
     project_start_step: Optional[Count] = None
     norm_floor: Annotated[float, "(0, inf)"] = 1e-6  # safeguard denominator
     default_penalty: NonNegative = 1e-3  # coefficient when no adjustment is needed
@@ -62,12 +62,25 @@ class OptimizerConfig:
     def validate(self) -> None:
         """Raise a ConfigError naming the first field outside its
         annotation, or when warm-up ends after projection starts; a step
-        left None is set by the harness, which validates again."""
+        left None is compared once ``resolved`` sets it."""
         check_fields(vars(self), OptimizerConfig, "optimizer")
         warm, proj = self.warmup_steps, self.project_start_step
         if warm is not None and proj is not None and warm > proj:
             raise ConfigError("optimizer 'warmup_steps' must not exceed 'project_start_step' "
                               "(projection cannot start before warm-up ends)")
+
+    def resolved(self, steps_per_epoch: int) -> "OptimizerConfig":
+        """This config, validated, with a None ``warmup_steps`` or
+        ``project_start_step`` set to half the first decay period:
+        ``lr_period_epochs // 2`` epochs of ``steps_per_epoch`` steps. The
+        optimizer and the harness both read a None step through this."""
+        self.validate()
+        half_period = (self.lr_period_epochs // 2) * steps_per_epoch
+        warm, proj = self.warmup_steps, self.project_start_step
+        cfg = replace(self, warmup_steps=half_period if warm is None else warm,
+                      project_start_step=half_period if proj is None else proj)
+        cfg.validate()
+        return cfg
 
 
 def choose_penalty(cos_theta, grad_norm, default_penalty: float, amplify: float):
@@ -93,8 +106,8 @@ class DhspgOptimizer:
                  config: OptimizerConfig, steps_per_epoch: int = 1,
                  group_components: Optional[list[int]] = None,
                  group_costs: Optional[list[float]] = None):
-        config.validate()
-        self.cfg = config
+        self.steps_per_epoch = max(1, steps_per_epoch)
+        self.cfg = config.resolved(self.steps_per_epoch)
         self.x = np.asarray(x0, dtype=float).copy()
         self.velocity = np.zeros_like(self.x)
         self.t = 0
@@ -123,9 +136,6 @@ class DhspgOptimizer:
         self.penalized, self.frozen = np.zeros((2, n), dtype=bool)
         self.penalty, self.cos_theta, self.salience = np.zeros((3, n))
         self._frozen_idx = np.empty(0, dtype=np.intp)
-        self.steps_per_epoch = max(1, steps_per_epoch)
-        self.warmup_until = config.warmup_steps or 0
-        self.project_from = config.project_start_step or 0
         self._partitioned = False
 
     # -- schedule ----------------------------------------------------------
@@ -255,7 +265,7 @@ class DhspgOptimizer:
         self.velocity *= cfg.momentum
         self.velocity += grad
         self.velocity[self._frozen_idx] = 0.0
-        if not self._partitioned and cfg.mode != "sgd" and self.t >= self.warmup_until:
+        if not self._partitioned and cfg.mode != "sgd" and self.t >= cfg.warmup_steps:
             if cfg.mode == "hspg":
                 self.penalized[:] = True
                 self._partitioned = True
@@ -271,7 +281,7 @@ class DhspgOptimizer:
             x_sq = self._sum(xg * xg)
             self.select_lambda(xg, self.velocity[self.idx], x_sq)
             trial = self.x + alpha * self.direction(self.velocity, xg, x_sq)
-            if self.t >= self.project_from:
+            if self.t >= cfg.project_start_step:
                 self.halfspace_project(trial, xg, x_sq)
             else:
                 self.x = trial

@@ -116,14 +116,6 @@ def resolve_target_groups(part: PartitionResult, cfg: ExperimentConfig) -> int:
     return k
 
 
-def _resolve_phase_steps(opt_cfg: OptimizerConfig, steps_per_epoch: int) -> OptimizerConfig:
-    """Default warm-up / projection start: half of the first decay period."""
-    half_period = (opt_cfg.lr_period_epochs // 2) * steps_per_epoch
-    warm = opt_cfg.warmup_steps if opt_cfg.warmup_steps is not None else half_period
-    proj = opt_cfg.project_start_step if opt_cfg.project_start_step is not None else half_period
-    return dataclasses.replace(opt_cfg, warmup_steps=warm, project_start_step=proj)
-
-
 def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generator):
     spec = check_fields(cfg.graph, GRAPH_SPEC, "graph")
     if "builder" in spec:
@@ -237,7 +229,7 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
     group_comps = [z.component_id for z in part.zigs]
     n_train = data.x_train.shape[0]
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
-    opt_cfg = _resolve_phase_steps(cfg.optimizer, steps_per_epoch)
+    opt_cfg = cfg.optimizer
     if target_groups is not None:
         opt_cfg = dataclasses.replace(opt_cfg, target_zero_groups=target_groups)
     opt = DhspgOptimizer(index.gather(g), group_idx, opt_cfg,
@@ -369,7 +361,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     part = partition(g)
     target = resolve_target_groups(part, cfg)
     data = build_dataset(cfg, streams["data"])
-    _resolve_phase_steps(cfg.optimizer, math.ceil(len(data.x_train) / cfg.batch_size)).validate()
+    cfg.optimizer.resolved(math.ceil(len(data.x_train) / cfg.batch_size))  # checks the steps
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
@@ -423,7 +415,6 @@ def train_regression(data: RegressionData, opt_cfg: OptimizerConfig,
                      seed: int = 0) -> DhspgOptimizer:
     m, n = data.X.shape
     steps_per_epoch = math.ceil(m / batch_size)
-    opt_cfg = _resolve_phase_steps(opt_cfg, steps_per_epoch)
     opt = DhspgOptimizer(np.full(n, 0.1), data.groups, opt_cfg,
                          steps_per_epoch=steps_per_epoch)
     rng = np.random.default_rng(seed)

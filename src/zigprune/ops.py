@@ -213,7 +213,8 @@ class OpKind:
 
     def narrow(self, params, keep_rows: list[int], in_map: Optional[list[int]]):
         """(kind, params) keeping output rows ``keep_rows`` and the input
-        channels ``in_map`` (None: all); ``params`` is a private copy."""
+        channels ``in_map`` (None: all); ``params`` is a private copy, or
+        None to narrow the kind alone."""
         return self, params
 
 
@@ -289,7 +290,8 @@ class Conv2d(OpKind):
     def narrow(self, params, keep_rows, in_map):
         if in_map is None:
             in_map = list(range(self.in_channels))
-        _narrow_stem(params, keep_rows, _conv_columns(in_map, self.kernel))
+        if params is not None:
+            _narrow_stem(params, keep_rows, _conv_columns(in_map, self.kernel))
         return replace(self, in_channels=len(in_map), out_channels=len(keep_rows)), params
 
 
@@ -344,7 +346,8 @@ class Linear(OpKind):
     def narrow(self, params, keep_rows, in_map):
         if in_map is None:
             in_map = list(range(self.in_features))
-        _narrow_stem(params, keep_rows, in_map)
+        if params is not None:
+            _narrow_stem(params, keep_rows, in_map)
         return replace(self, in_features=len(in_map), out_features=len(keep_rows)), params
 
 
@@ -460,9 +463,10 @@ class BatchNorm(OpKind):
     def narrow(self, params, keep_rows, in_map):
         if in_map is None or len(in_map) == self.channels:
             return self, params
-        keep = np.asarray(in_map)
-        for role in ("gamma", "beta", "running_mean", "running_var"):
-            setattr(params, role, getattr(params, role)[keep])
+        if params is not None:
+            keep = np.asarray(in_map)
+            for role in ("gamma", "beta", "running_mean", "running_var"):
+                setattr(params, role, getattr(params, role)[keep])
         return replace(self, channels=len(in_map)), params
 
 

@@ -1,15 +1,17 @@
 """Flat-vector view over a graph's trainable parameters.
 
 The optimizer works on one contiguous double vector; this maps between that
-vector, the per-vertex parameter tensors, and group slices.
+vector, the per-vertex parameter tensors, and the groups of a partition.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import ComputationGraph
-from .partition import ParamSlice, ZeroInvariantGroup
+from .partition import GroupTable, ZeroInvariantGroup
 
 
 class ParamIndex:
@@ -24,6 +26,7 @@ class ParamIndex:
                 self._layout[(vid, role)] = (offset, arr.shape)
                 offset += arr.size
         self.size = offset
+        self._groups = (None, None, None)  # (table, idx, off) of the last table
 
     def gather(self, g: ComputationGraph) -> np.ndarray:
         vec = np.empty(self.size)
@@ -46,15 +49,40 @@ class ParamIndex:
                 vec[off:off + arr.size] = arr.ravel()
         return vec
 
-    def slice_indices(self, s: ParamSlice) -> np.ndarray:
-        """Flat indices covered by one parameter slice."""
-        role = "weight" if s.role == "weight_row" else s.role
-        off, shape = self._layout[(s.vertex_id, role)]
-        if s.role == "weight_row":
-            cols = shape[1]
-            return np.arange(off + s.start * cols, off + s.stop * cols)
-        return np.arange(off + s.start, off + s.stop)
+    def group_table(self, table: GroupTable) -> tuple[np.ndarray, list[int]]:
+        """All groups' flat indices in CSR form: group p's are
+        ``idx[off[p]:off[p + 1]]``, ordered as its slices are.
+
+        One array pass over the table's rows and this layout: each owned
+        row contributes ``prod(shape[1:])`` consecutive indices per role
+        (``np.repeat`` and ``cumsum`` expand them), and a stable sort by
+        owner keeps the (vertex, role, row) order within each group. Kept
+        for the last table asked about; ``idx`` is read-only.
+        """
+        if self._groups[0] is not table:
+            starts, sizes, owners = ([np.empty(0, dtype=np.intp)] for _ in range(3))
+            for vid, rows, roles in table.grouped:
+                for role in roles:
+                    off, shape = self._layout[(vid, role)]
+                    width = math.prod(shape[1:])  # doubles per row
+                    starts.append(off + width * np.arange(len(rows)))
+                    sizes.append(np.full(len(rows), width))
+                    owners.append(rows)
+            owner = np.concatenate(owners)
+            order = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
+            start, size = np.concatenate(starts)[order], np.concatenate(sizes)[order]
+            ends = np.cumsum(size)
+            idx = np.arange(size.sum()) + np.repeat(start - ends + size, size)
+            idx.flags.writeable = False
+            first = np.searchsorted(owner[order], np.arange(table.size + 1))
+            off = np.concatenate(([0], ends))[first].tolist()
+            self._groups = (table, idx, off)
+        return self._groups[1], self._groups[2]
 
     def group_indices(self, group: ZeroInvariantGroup) -> np.ndarray:
-        parts = [self.slice_indices(s) for s in group.slices]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+        """Flat indices of one group's parameters: a view into ``group_table``."""
+        table, idx, off = self._groups
+        if table is not group.table:
+            idx, off = self.group_table(group.table)
+        p = group.position
+        return idx[off[p]:off[p + 1]]

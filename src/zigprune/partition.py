@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .graph import (
     STEM,
     UNKNOWN,
 )
-
-ROLE_ORDER = {"weight_row": 0, "bias": 1, "gamma": 2, "beta": 3}
 
 
 @dataclass
@@ -60,11 +59,62 @@ class ParamSlice:
             raise PartitionError(f"empty slice on vertex {self.vertex_id}")
 
 
-@dataclass
+class GroupTable:
+    """The parameter rows every group of one partition owns.
+
+    ``grouped`` lists, in topological order, each vertex whose rows are
+    grouped as ``(vertex id, owners, roles)``: row k of each of its
+    trainable arrays (``roles``, in ``TRAINABLE_ROLES`` order) belongs to
+    the group at position ``owners[k]`` of ``PartitionResult.zigs`` (-1:
+    none). These are that vertex's ``channel_groups``; a vertex of an
+    excluded component is left out. ``ParamIndex.group_table`` turns the
+    table into flat indices; ``ParamSlice`` lists are made from it only
+    when ``slices`` is asked.
+    """
+
+    def __init__(self, grouped: list[tuple[int, np.ndarray, tuple[str, ...]]], size: int):
+        self.grouped = grouped
+        self.size = size
+        self._slices: Optional[list[list[ParamSlice]]] = None
+
+    def slices(self) -> list[list[ParamSlice]]:
+        """Per group position, its slices: one per run of rows it owns and
+        role, ordered by vertex (topological), role and first row. Made on
+        the first call, for every group at once."""
+        if self._slices is None:
+            out: list[list[ParamSlice]] = [[] for _ in range(self.size)]
+            for vid, owners, roles in self.grouped:
+                bounds = (np.flatnonzero(np.diff(owners)) + 1).tolist()
+                starts, stops = [0] + bounds, bounds + [len(owners)]
+                runs = [(start, stop, owner) for start, stop, owner
+                        in zip(starts, stops, owners[starts].tolist()) if owner >= 0]
+                for role in roles:
+                    name = "weight_row" if role == "weight" else role
+                    for start, stop, owner in runs:
+                        out[owner].append(ParamSlice(vid, name, start, stop))
+            self._slices = out
+        return self._slices
+
+
 class ZeroInvariantGroup:
-    slices: list[ParamSlice]
-    component_id: int
-    group_index: int
+    """Channel ``group_index`` of component ``component_id``, at
+    ``position`` in ``PartitionResult.zigs``; its rows are in ``table``."""
+
+    __slots__ = ("component_id", "group_index", "position", "table")
+
+    def __init__(self, component_id: int, group_index: int, position: int, table: GroupTable):
+        self.component_id = component_id
+        self.group_index = group_index
+        self.position = position
+        self.table = table
+
+    @property
+    def slices(self) -> list[ParamSlice]:
+        return self.table.slices()[self.position]
+
+    def __repr__(self) -> str:
+        return (f"ZeroInvariantGroup(component_id={self.component_id}, "
+                f"group_index={self.group_index})")
 
 
 @dataclass
@@ -84,6 +134,7 @@ class PartitionResult:
     # channel (-1: none); grouping, zero detection and surgery read it,
     # to_doc leaves it out
     channel_groups: dict[int, list[int]]
+    table: GroupTable = field(repr=False)
 
     def coloring(self) -> dict[int, int]:
         out = {}
@@ -93,6 +144,7 @@ class PartitionResult:
         return out
 
     def to_doc(self) -> dict:
+        slices = self.table.slices()
         return {
             "components": [
                 {
@@ -113,7 +165,7 @@ class PartitionResult:
                     "slices": [
                         {"vertex": s.vertex_id, "role": s.role,
                          "start": s.start, "stop": s.stop}
-                        for s in z.slices
+                        for s in slices[z.position]
                     ],
                 }
                 for z in self.zigs
@@ -196,52 +248,50 @@ def dependency_components(g: ComputationGraph) -> list[DependencyComponent]:
     return list(classes.values())
 
 
-def _channel_origins(g: ComputationGraph, comp_of: dict[int, int]) -> dict[int, list]:
-    """Per vertex: which (component, group) produced each output channel.
+def _channel_origins(g: ComputationGraph, comp_of: dict[int, int],
+                     base: list[int]) -> dict[int, np.ndarray]:
+    """Per vertex: which stem channel produced each output channel.
 
     This is the one walk of channel provenance: output/unknown exclusions
     follow it, and so does ``PartitionResult.channel_groups``, from which
     grouping assigns parameter rows, zero detection reads them and surgery
     keeps a channel unless its group is zero.
-    After a Flatten, entries are per flat feature (each channel repeated
-    height*width times). None marks a channel no stem controls (raw input,
-    unknown op output). ``comp_of`` maps each vertex to its component.
+    A channel is an integer code: channel j of the stems of component ci is
+    ``base[ci] + j``, and -1 marks a channel no stem controls (raw input,
+    unknown op output). After a Flatten, entries are per flat feature (each
+    channel repeated height*width times). ``comp_of`` maps each vertex to
+    its component.
     """
-    origins: dict[int, list] = {}
+    origins: dict[int, np.ndarray] = {}
     for vid in g.topo_order:
         vx = g.vertices[vid]
         if vx.out_shape is None:
             raise GraphError("partition requires inferred shapes")
         cat = vx.category
         if cat == STEM:
-            origins[vid] = [(comp_of[vid], j) for j in range(vx.kind.width())]
-        elif vid in g.input_binding:
-            origins[vid] = [None] * vx.out_shape[1]
+            first = base[comp_of[vid]]
+            origins[vid] = np.arange(first, first + vx.kind.width())
+        elif vid in g.input_binding or cat == UNKNOWN:
+            origins[vid] = np.full(vx.out_shape[1], -1)
         elif cat == ACCESSORY:
-            base = origins[g.preds[vid][0]]
+            src = g.preds[vid][0]
             if isinstance(vx.kind, Flatten):
-                _, _, h, w = g.vertices[g.preds[vid][0]].out_shape
-                origins[vid] = [o for o in base for _ in range(h * w)]
+                _, _, h, w = g.vertices[src].out_shape
+                origins[vid] = np.repeat(origins[src], h * w)
             else:
-                origins[vid] = base
+                origins[vid] = origins[src]
         elif cat == SD_JOINT:
-            ins = [origins[p] for p in g.joint_input_order(vid)]
-            first = ins[0]
-            if any(other != first for other in ins[1:]):
+            first, *others = (origins[p] for p in g.joint_input_order(vid))
+            if any(not np.array_equal(other, first) for other in others):
                 raise PartitionError(
                     f"SD joint {vid} couples channels across group boundaries "
                     "(unsupported topology)"
                 )
             origins[vid] = first
         elif cat == SID_JOINT:
-            merged: list = []
-            for p in g.joint_input_order(vid):
-                merged.extend(origins[p])
-            origins[vid] = merged
-        elif cat == UNKNOWN:
-            origins[vid] = [None] * vx.out_shape[1]
+            origins[vid] = np.concatenate([origins[p] for p in g.joint_input_order(vid)])
         else:  # graph output
-            origins[vid] = []
+            origins[vid] = np.empty(0, dtype=np.intp)
     return origins
 
 
@@ -255,6 +305,9 @@ def form_zigs(g: ComputationGraph,
     when its channels reach such an input through SID joints, where the edge
     rule stops. Such components are excluded: their parameters are tallied,
     not grouped.
+
+    Every step is an array pass over channel codes (``_channel_origins``);
+    no per-group object is built but the group itself.
     """
     stem_widths = []
     for ci, comp in enumerate(comps):
@@ -266,14 +319,17 @@ def form_zigs(g: ComputationGraph,
         stem_widths.append(ws.pop() if ws else 0)
 
     comp_of_vertex = {v: ci for ci, comp in enumerate(comps) for v in comp.vertex_ids}
-    origins = _channel_origins(g, comp_of_vertex)
+    code_comp = np.repeat(np.arange(len(comps)), stem_widths)  # component of each code
+    base = np.cumsum([0] + stem_widths[:-1]).tolist()
+    origins = _channel_origins(g, comp_of_vertex, base)
     for vid in g.topo_order:
         cat = g.vertices[vid].category
         if cat not in (OUTPUT, UNKNOWN):
             continue
         hit = {comp_of_vertex.get(v) for v in (vid, *g.preds[vid])}
         for p in g.preds[vid]:
-            hit.update(origin[0] for origin in set(origins[p]) - {None})
+            codes = origins[p]
+            hit.update(np.unique(code_comp[codes[codes >= 0]]).tolist())
         hit.discard(None)
         for ci in hit:
             if cat == OUTPUT:
@@ -288,14 +344,17 @@ def form_zigs(g: ComputationGraph,
         elif comp.contains_unknown:
             exclusions[ci] = "contains-unknown"
     widths = [0 if ci in exclusions else w for ci, w in enumerate(stem_widths)]
-    zigs = [ZeroInvariantGroup([], ci, j) for ci, w in enumerate(widths) for j in range(w)]
-    position = {(z.component_id, z.group_index): i for i, z in enumerate(zigs)}
-    channel_groups = {vid: [position.get(o, -1) for o in orig]
-                      for vid, orig in origins.items()}
+    # Groups are the codes of kept components in (component, channel)
+    # order; code -1 reads the last entry, -1.
+    kept = np.repeat(np.array(widths) > 0, stem_widths)
+    code_group = np.append(np.where(kept, np.cumsum(kept) - 1, -1), -1)
+    owners = {vid: code_group[orig] for vid, orig in origins.items()}
 
     # Every trainable array has one row per output channel, so row k of a
-    # vertex belongs to group channel_groups[vid][k]. A run of rows with one
-    # owner becomes a single slice (post-Flatten blocks stay contiguous).
+    # vertex belongs to group owners[vid][k]. A vertex of an excluded
+    # component is tallied whole; a row no group owns is tallied to the
+    # excluded component it comes from, or as no-producer.
+    grouped = []
     excl_params = {ci: 0 for ci in exclusions}
     stray_params = 0
     for vid in g.topo_order:
@@ -306,32 +365,25 @@ def form_zigs(g: ComputationGraph,
         if ci in exclusions:
             excl_params[ci] += params.trainable_count()
             continue
-        roles = ["weight_row" if role == "weight" else role
-                 for role, _ in params.trainable_items()]
-        row_size = sum(arr[0].size for _, arr in params.trainable_items())
-        owners = channel_groups[vid]
-        owner_arr = np.asarray(owners, dtype=np.intp)
-        for k in np.flatnonzero(owner_arr < 0).tolist():
-            origin = origins[vid][k]
-            if origin is None:
-                stray_params += row_size
-            else:
-                excl_params[origin[0]] += row_size
-        bounds = (np.flatnonzero(np.diff(owner_arr)) + 1).tolist()
-        for start, stop in zip([0] + bounds, bounds + [len(owners)]):
-            if owners[start] >= 0:
-                zigs[owners[start]].slices += [ParamSlice(vid, role, start, stop)
-                                               for role in roles]
+        items = list(params.trainable_items())
+        row_size = sum(arr[0].size for _, arr in items)
+        lost = origins[vid][owners[vid] < 0]
+        stray_params += row_size * int(np.count_nonzero(lost < 0))
+        for origin in code_comp[lost[lost >= 0]].tolist():
+            excl_params[origin] += row_size
+        grouped.append((vid, owners[vid], tuple(role for role, _ in items)))
 
-    topo_index = g.topo_index
-    for z in zigs:
-        z.slices.sort(key=lambda s: (topo_index[s.vertex_id], ROLE_ORDER[s.role], s.start))
+    table = GroupTable(grouped, int(kept.sum()))
+    zigs = []
+    for ci, w in enumerate(widths):
+        zigs += [ZeroInvariantGroup(ci, j, len(zigs) + j, table) for j in range(w)]
     excluded = [ExcludedComponent(ci, exclusions[ci], excl_params[ci])
                 for ci in sorted(exclusions)]
     if stray_params:
         excluded.append(ExcludedComponent(-1, "no-producer", stray_params))
-    return PartitionResult(components=comps, zigs=zigs, excluded=excluded,
-                           widths=widths, channel_groups=channel_groups)
+    return PartitionResult(components=comps, zigs=zigs, excluded=excluded, widths=widths,
+                           channel_groups={vid: o.tolist() for vid, o in owners.items()},
+                           table=table)
 
 
 def partition(g: ComputationGraph) -> PartitionResult:

@@ -64,6 +64,17 @@ def test_viz_with_partition_file(graph_file, tmp_path, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
+def test_viz_rejects_a_graph_document_as_the_partition(graph_file, tmp_path, capsys):
+    assert main(["viz", graph_file, "--partition", graph_file]) == 2
+    assert "unknown partition keys: ['edges', 'input_shapes', 'vertices']" in \
+        capsys.readouterr().err
+    part_file = tmp_path / "p.json"
+    part_file.write_text(json.dumps({"components": [{"id": 0, "vertices": ["a"]}]}),
+                         encoding="utf-8")
+    assert main(["viz", graph_file, "--partition", str(part_file)]) == 2
+    assert "partition component 0 'vertices'[0]" in capsys.readouterr().err
+
+
 def test_train_compress_eval_report_cycle(trained_run, tmp_path, capsys):
     src, code = trained_run
     assert code == 0

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from zigprune.builders import BUILDERS, demo_net
+from zigprune import compression
+from zigprune.builders import BUILDERS, conv_chain, demo_net, random_small_dag
 from zigprune.compression import (
     build_channel_maps,
     compress,
@@ -395,15 +396,42 @@ def test_equivalence_on_random_dags():
 
 
 def test_group_flops_savings_match_single_group_prune():
-    for name, make in sorted(BUILDERS.items()):
-        g = make(seed=16)
+    # every group of the builders and of 200 random DAGs against the FLOPs
+    # of the graph compress makes without that group alone
+    rng = np.random.default_rng(0)
+    graphs = [make(seed=16) for _, make in sorted(BUILDERS.items())]
+    graphs += [random_small_dag(rng) for _ in range(200)]
+    pruned = 0
+    for k, g in enumerate(graphs):
         part = partition(g)
         full, _ = count_flops_params(g)
         savings = group_flops_savings(g, part)
         assert len(savings) == len(part.zigs)
-        for i, saving in enumerate(savings):
+        for i, (z, saving) in enumerate(zip(part.zigs, savings)):
+            if part.widths[z.component_id] == 1:
+                assert saving == 0
+                continue
             small, _ = compress(g, part, make_mask(part, [i]))
-            assert saving == full - count_flops_params(small)[0] > 0, (name, i)
+            assert saving == full - count_flops_params(small)[0] > 0, (k, i)
+            pruned += 1
+    assert pruned > 1000
+
+
+def test_group_flops_savings_prune_nothing(monkeypatch):
+    calls = []
+    real_prune = compression.prune
+
+    def counting_prune(*args, **kwargs):
+        calls.append(1)
+        return real_prune(*args, **kwargs)
+
+    monkeypatch.setattr(compression, "prune", counting_prune)
+    for g in [make(seed=0) for make in BUILDERS.values()] + [conv_chain(100)]:
+        part = partition(g)
+        assert any(group_flops_savings(g, part))
+    assert calls == []
+    compress(g, part, make_mask(part, [0]))  # the patch does see surgery's prune
+    assert calls == [1]
 
 
 def test_group_flops_savings_width_one_component(tmp_path):

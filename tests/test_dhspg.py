@@ -343,6 +343,35 @@ def test_hspg_deterministic_for_fixed_seed():
     assert np.array_equal(run(), run())
 
 
+def test_null_phase_step_is_half_the_first_period():
+    # lr_period_epochs 10 at 3 steps an epoch: a null step is step 15
+    groups = flat_groups([2, 2])
+    cfg = OptimizerConfig(warmup_steps=5)
+    opt = DhspgOptimizer(np.ones(4), groups, cfg, steps_per_epoch=3)
+    assert (opt.cfg.warmup_steps, opt.cfg.project_start_step) == (5, 15)
+    assert cfg.project_start_step is None  # the caller's config is left as it was
+    opt = DhspgOptimizer(np.ones(4), groups, OptimizerConfig(), steps_per_epoch=3)
+    assert (opt.cfg.warmup_steps, opt.cfg.project_start_step) == (15, 15)
+    opt = DhspgOptimizer(np.ones(4), groups, OptimizerConfig(project_start_step=8))
+    assert (opt.cfg.warmup_steps, opt.cfg.project_start_step) == (5, 8)
+    with pytest.raises(ConfigError, match="warmup_steps"):
+        DhspgOptimizer(np.ones(4), groups, OptimizerConfig(warmup_steps=16), steps_per_epoch=3)
+
+
+def test_null_projection_start_holds_projection_back():
+    # group 0 is penalized at step 0 and every trial step crosses zero, but
+    # with projection_start_step null (half of the 10-epoch first period,
+    # one step an epoch) it is projected only at step 5
+    cfg = OptimizerConfig(warmup_steps=0, target_zero_groups=1, learning_rate=0.5,
+                          momentum=0.0)
+    opt = DhspgOptimizer(np.array([1.0, 10.0]), flat_groups([1, 1]), cfg)
+    zeros = []
+    for _ in range(7):
+        opt.step(np.array([4.0 * np.sign(opt.x[0]), 0.0]))
+        zeros.append(opt.zero_group_count())
+    assert zeros == [0, 0, 0, 0, 0, 1, 1]
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(project_epsilon=1.0).validate()

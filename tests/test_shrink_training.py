@@ -33,7 +33,7 @@ def reference_train_graph(g, part, data, cfg, rng_batches, target_groups=None):
     group_idx = [index.group_indices(z) for z in part.zigs]
     n_train = data.x_train.shape[0]
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
-    opt_cfg = harness._resolve_phase_steps(cfg.optimizer, steps_per_epoch)
+    opt_cfg = cfg.optimizer
     if target_groups is not None:
         opt_cfg = dataclasses.replace(opt_cfg, target_zero_groups=target_groups)
     opt = DhspgOptimizer(index.gather(g), group_idx, opt_cfg,
