@@ -120,7 +120,8 @@ def gen_synthetic_classification(
     def draw(n):
         labels = rng.integers(0, n_classes, size=n)
         means = mean_scale * _CLASS_MEANS[labels][:, :c]
-        x = rng.normal(size=(n, c, h, w)) * noise
+        x = rng.normal(size=(n, c, h, w))
+        x *= noise
         x += means[:, :, None, None]
         return x, labels
 

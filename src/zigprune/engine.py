@@ -118,7 +118,8 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
     run, counting one consumer per edge, and a dead-end vertex's at once; the
     graph output is kept. The train-mode cache holds the output and each
     op's own cache, which keeps whatever that op's backward reads, so an
-    activation no op cache references is freed during the pass.
+    activation no op cache references is freed during the pass; ``backward``
+    consumes the cache.
 
     A train-mode forward of an empty batch is a ShapeMismatch. Eval mode
     walks the batch ``EVAL_BATCH`` samples at a time, every graph input
@@ -185,21 +186,33 @@ def backward(g: ComputationGraph, cache, loss: str, targets):
     """Compute (loss value, parameter gradients) from a train-mode forward
     cache; BatchNorm differentiates through the batch statistics. Raises
     ValueError given anything else: eval-mode forwards keep no cache.
+
+    The cache is consumed: its output is dropped once the loss gradient is
+    built, and each vertex's op cache as the reverse pass leaves that
+    vertex, so cached activations are freed during the pass. A cache that
+    an earlier backward consumed is a ValueError.
     """
     if not isinstance(cache, dict) or "vcaches" not in cache:
         raise ValueError("backward needs a train-mode forward cache; "
                          "eval-mode forwards keep no cache")
+    if "out" not in cache:
+        raise ValueError("this forward cache was consumed by an earlier "
+                         "backward; run forward again")
     value, dout = _loss_and_grad(cache["out"], loss, targets)
+    del cache["out"]
+    vcaches = cache["vcaches"]
     grads = zero_gradients(g)
     dacts: dict[int, np.ndarray] = {cache["out_id"]: dout}
     memo: dict = {}
     for vid in reversed(g.topo_order):
+        vcache = vcaches.pop(vid)
         if vid not in dacts:
             continue  # dead-end vertex: no path to the loss
         bound = vid in g.input_binding
         vx = g.vertices[vid]
-        dins = vx.kind.backward(vx.params, cache["vcaches"][vid], dacts.pop(vid),
+        dins = vx.kind.backward(vx.params, vcache, dacts.pop(vid),
                                 grads.get(vid, {}), need_dx=not bound, memo=memo)
+        del vcache
         if bound:
             continue
         for p, d in zip(g.preds[vid], dins):

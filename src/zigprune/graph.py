@@ -323,8 +323,10 @@ def graph_to_doc(g: ComputationGraph, include_params: bool = True) -> dict:
 
 
 def save_graph(g: ComputationGraph, path, include_params: bool = True) -> None:
+    # json.dumps uses the C encoder; json.dump streams through the Python one
+    text = json.dumps(graph_to_doc(g, include_params=include_params))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_doc(g, include_params=include_params), fh)
+        fh.write(text)
 
 
 def load_graph(path) -> ComputationGraph:

@@ -254,7 +254,7 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
         running = 0.0
         seen = 0
         for idx in minibatches(n_train, cfg.batch_size, rng_batches):
-            out, cache = forward(small, data.x_train[idx], mode="train")
+            _, cache = forward(small, data.x_train[idx], mode="train")
             loss_val, grads = backward(small, cache, cfg.loss, data.y_train[idx])
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(opt.t, "loss")
@@ -265,6 +265,8 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
             flat_grad[keep] = small_grad
             opt.step(flat_grad)
             small_index.scatter(small, opt.x[keep])
+            # no step's arrays may be held while the next forward runs
+            del cache, grads, small_grad, flat_grad
             running += loss_val * len(idx)
             seen += len(idx)
         epoch_seconds = time.perf_counter() - t0

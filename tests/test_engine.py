@@ -577,6 +577,35 @@ def test_backward_rejects_an_eval_forward():
         backward(g, cache, "cross_entropy", np.zeros(4, dtype=int))
 
 
+def test_backward_consumes_its_cache():
+    """Each op cache is dropped as the reverse pass leaves its vertex, a
+    dead-end vertex's too, and the output once the loss gradient is built."""
+    dead_end = graph_of((1, 4), [
+        {"op": "linear", "in_features": 4, "out_features": 3},   # 0
+        {"op": "relu"},                                          # 1
+        {"op": "linear", "in_features": 3, "out_features": 2},   # 2: dead end
+        {"op": "linear", "in_features": 3, "out_features": 2},   # 3: output
+    ], [[0, 1], [1, 2], [1, 3]], seed=53)
+    rng = np.random.default_rng(54)
+    for g, x in ((dead_end, rng.normal(size=(5, 4))),
+                 (demo_net(seed=9), rng.normal(size=(5, 3, 16, 16)))):
+        _, cache = forward(g, x, mode="train")
+        assert len(cache["vcaches"]) == len(g.vertices)
+        backward(g, cache, "cross_entropy", np.zeros(5, dtype=int))
+        assert cache["vcaches"] == {}
+        assert "out" not in cache
+
+
+def test_backward_rejects_a_consumed_cache():
+    g = demo_net(seed=9)
+    x = np.random.default_rng(56).normal(size=(4, 3, 16, 16))
+    y = np.zeros(4, dtype=int)
+    _, cache = forward(g, x, mode="train")
+    backward(g, cache, "cross_entropy", y)
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        backward(g, cache, "cross_entropy", y)
+
+
 def loop_avg_pool(x, k, stride):
     n, c, h, w = x.shape
     ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
