@@ -40,22 +40,19 @@ class PruneMask:
 
 
 def detect_zero_groups(g: ComputationGraph, part: PartitionResult) -> PruneMask:
-    """Flag groups whose every slice is exactly zero.
+    """Flag groups whose every parameter row is exactly zero.
 
-    Row k of every trainable array of a vertex belongs to group
-    ``part.channel_groups[vid][k]``; each row's nonzero flag is or-ed into
-    its owner's, and rows no group owns (-1) land in a spare last slot.
+    Row k of each grouped array of a vertex belongs to group ``owners[k]``
+    of ``part.table``; each row's nonzero flag is or-ed into its owner's,
+    and rows no group owns (-1) land in a spare last slot.
 
     Raises AllGroupsZeroInComponent when a component would lose all groups;
     a zero-width operator cannot be constructed.
     """
     nonzero = np.zeros(len(part.zigs) + 1, dtype=bool)
-    for vid, owners in part.channel_groups.items():
-        params = g.vertices[vid].params
-        if params is None:
-            continue
-        owners = np.asarray(owners, dtype=np.intp)
-        for _, arr in params.trainable_items():
+    for vid, owners, roles in part.table.grouped:
+        for role in roles:
+            arr = getattr(g.vertices[vid].params, role)
             nonzero[owners[arr.reshape(len(arr), -1).any(axis=1)]] = True
     return make_mask(part, np.flatnonzero(~nonzero[:-1]).tolist())
 

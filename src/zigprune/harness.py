@@ -176,7 +176,7 @@ def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
     """A copy of g without the given groups, to train on in g's place.
 
     Returns (copy, channel maps, keep, the copy's ParamIndex): keep[i] is
-    the position in the full flat vector of coordinate i of the copy's. g
+    the position in g's buffer ``index.x`` of coordinate i of the copy's. g
     and the copy then hold the iterate x. Raises AllGroupsZeroInComponent,
     leaving g as it was, when the groups would empty a component.
     """
@@ -184,14 +184,14 @@ def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
     maps = build_channel_maps(g, part, mask)
     # Each coordinate tagged with its flat position: pruning keeps the tags
     # of the survivors, in the copy's layout.
-    index.scatter(g, np.arange(index.size, dtype=float))
+    index.x[...] = np.arange(index.size)
     try:
         small = prune(g, mask, maps)
     finally:
-        index.scatter(g, x)
+        index.x[...] = x
     small_index = ParamIndex(small)
-    keep = small_index.gather(small).astype(np.intp)
-    small_index.scatter(small, x[keep])
+    keep = small_index.x.astype(np.intp)
+    small_index.x[...] = x[keep]
     return small, maps, keep, small_index
 
 
@@ -212,29 +212,29 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
 
     The optimizer owns the full flat iterate. Forward and backward run on a
     copy of g without the optimizer's frozen groups, rebuilt at each epoch
-    boundary where the frozen set has grown (inside that epoch's timing);
-    the copy's gradient enters the full vector at ``keep`` and is zero
-    elsewhere. Frozen coordinates' gradients are never read, and the
-    consumer columns a frozen group feeds get exactly zero at full width
-    too, so the optimizer takes the same steps up to rounding. When the
-    frozen set would empty a component the copy keeps its width. Each row's
-    ``train_flops`` is the per-sample FLOPs of the graph that epoch trained.
+    boundary where the frozen set has grown (inside that epoch's timing).
+    The copy's arrays are views into its ``ParamIndex`` buffer, which each
+    step overwrites with the iterate at ``keep``; the copy's gradient
+    enters the full vector at ``keep`` and is zero elsewhere. Frozen
+    coordinates' gradients are never read, and the consumer columns a
+    frozen group feeds get exactly zero at full width too, so the optimizer
+    takes the same steps up to rounding. When the frozen set would empty a
+    component the copy keeps its width. Each row's ``train_flops`` is the
+    per-sample FLOPs of the graph that epoch trained.
     """
     if len(g.input_shapes) != 1:
         raise ConfigError(
             f"graph takes {len(g.input_shapes)} inputs but the dataset holds 1 "
             "input array; only single-input graphs can be trained")
     index = ParamIndex(g)
-    group_idx = [index.group_indices(z) for z in part.zigs]
-    group_comps = [z.component_id for z in part.zigs]
     n_train = data.x_train.shape[0]
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     opt_cfg = cfg.optimizer
     if target_groups is not None:
         opt_cfg = dataclasses.replace(opt_cfg, target_zero_groups=target_groups)
-    opt = DhspgOptimizer(index.gather(g), group_idx, opt_cfg,
+    opt = DhspgOptimizer(index.x, [index.group_indices(z) for z in part.zigs], opt_cfg,
                          steps_per_epoch=steps_per_epoch,
-                         group_components=group_comps,
+                         group_components=[z.component_id for z in part.zigs],
                          group_costs=group_flops_savings(g, part))
     small, maps, keep, small_index = _narrowed_copy(g, part, index, opt.x, [])
     train_flops = count_flops_params(small)[0]
@@ -264,7 +264,8 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
             flat_grad = np.zeros(index.size)
             flat_grad[keep] = small_grad
             opt.step(flat_grad)
-            small_index.scatter(small, opt.x[keep])
+            # in place: "clip" takes no buffer, and keep is always in range
+            np.take(opt.x, keep, out=small_index.x, mode="clip")
             # no step's arrays may be held while the next forward runs
             del cache, grads, small_grad, flat_grad
             running += loss_val * len(idx)
@@ -438,30 +439,22 @@ def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,
                                        lr_period_epochs=max(epochs, 1),
                                        default_penalty=0.1)
     data = gen_synthetic_regression(problem, seed)
-    rows = []
 
-    cfg = dataclasses.replace(base, mode="dhspg",
-                              target_zero_groups=target_zero_groups)
-    opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
-    zeros = opt.zero_group_ids()
-    rows.append({
-        "method": "dhspg", "setting": f"K={target_zero_groups}",
-        "zero_groups": len(zeros), "zero_group_ids": zeros,
-        "objective": data.objective(opt.x),
-        "support_recovered": sorted(set(range(problem.n_groups)) - set(zeros))
-        == data.support,
-    })
-    for lam in lambda_sweep:
-        cfg = dataclasses.replace(base, mode="hspg", global_penalty=float(lam))
+    def row(setting: str, **changes) -> dict:
+        cfg = dataclasses.replace(base, **changes)
         opt = train_regression(data, cfg, epochs, batch_size, seed + 1)
         zeros = opt.zero_group_ids()
-        rows.append({
-            "method": "hspg", "setting": f"lambda={lam:g}",
+        return {
+            "method": cfg.mode, "setting": setting,
             "zero_groups": len(zeros), "zero_group_ids": zeros,
             "objective": data.objective(opt.x),
             "support_recovered": sorted(set(range(problem.n_groups)) - set(zeros))
             == data.support,
-        })
+        }
+
+    rows = [row(f"K={target_zero_groups}", mode="dhspg", target_zero_groups=target_zero_groups)]
+    rows += [row(f"lambda={lam:g}", mode="hspg", global_penalty=float(lam))
+             for lam in lambda_sweep]
     return {"rows": rows, "oracle_objective": data.oracle_objective,
             "support": data.support}
 

@@ -1,7 +1,9 @@
-"""Flat-vector view over a graph's trainable parameters.
+"""One flat buffer owns a graph's trainable parameters.
 
-The optimizer works on one contiguous double vector; this maps between that
-vector, the per-vertex parameter tensors, and the groups of a partition.
+``ParamIndex(g)`` copies g's trainable arrays once into the double vector
+``x`` (vertices by id, each vertex's arrays in ``TRAINABLE_ROLES`` order)
+and rebinds every array as a view into it, so writing ``x`` writes the
+graph. It also maps the groups of a partition to indices into ``x``.
 """
 
 from __future__ import annotations
@@ -16,30 +18,36 @@ from .partition import GroupTable, ZeroInvariantGroup
 
 class ParamIndex:
     def __init__(self, g: ComputationGraph):
+        arrays = [(vid, role, arr) for vid in sorted(g.vertices)
+                  if g.vertices[vid].params is not None
+                  for role, arr in g.vertices[vid].params.trainable_items()]
+        self.size = sum(arr.size for _, _, arr in arrays)
+        self.x = np.empty(self.size)
         self._layout: dict[tuple[int, str], tuple[int, tuple[int, ...]]] = {}
         offset = 0
-        for vid in sorted(g.vertices):
-            params = g.vertices[vid].params
-            if params is None:
-                continue
-            for role, arr in params.trainable_items():
-                self._layout[(vid, role)] = (offset, arr.shape)
-                offset += arr.size
-        self.size = offset
+        for vid, role, arr in arrays:
+            view = self.x[offset:offset + arr.size].reshape(arr.shape)
+            view[...] = arr
+            setattr(g.vertices[vid].params, role, view)
+            self._layout[(vid, role)] = (offset, arr.shape)
+            offset += arr.size
         self._groups = (None, None, None)  # (table, idx, off) of the last table
 
+    def _check_bound(self, g: ComputationGraph) -> None:
+        """Raise unless g's first array is still a view into ``x``; it is
+        not once a later ``ParamIndex`` of g has taken the arrays over."""
+        vid, role = next(iter(self._layout), (None, None))
+        if role and getattr(g.vertices[vid].params, role).base is not self.x:
+            raise ValueError("the graph's parameters are not views into this index's "
+                             "buffer: a later ParamIndex of the graph took them over")
+
     def gather(self, g: ComputationGraph) -> np.ndarray:
-        vec = np.empty(self.size)
-        for (vid, role), (off, shape) in self._layout.items():
-            arr = getattr(g.vertices[vid].params, role)
-            vec[off:off + arr.size] = arr.ravel()
-        return vec
+        self._check_bound(g)
+        return self.x.copy()
 
     def scatter(self, g: ComputationGraph, vec: np.ndarray) -> None:
-        for (vid, role), (off, shape) in self._layout.items():
-            size = int(np.prod(shape))
-            setattr(g.vertices[vid].params, role,
-                    vec[off:off + size].reshape(shape).copy())
+        self._check_bound(g)
+        self.x[...] = vec
 
     def gather_grads(self, grads: dict[int, dict[str, np.ndarray]]) -> np.ndarray:
         vec = np.zeros(self.size)

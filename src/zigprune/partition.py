@@ -67,9 +67,9 @@ class GroupTable:
     trainable arrays (``roles``, in ``TRAINABLE_ROLES`` order) belongs to
     the group at position ``owners[k]`` of ``PartitionResult.zigs`` (-1:
     none). These are that vertex's ``channel_groups``; a vertex of an
-    excluded component is left out. ``ParamIndex.group_table`` turns the
-    table into flat indices; ``ParamSlice`` lists are made from it only
-    when ``slices`` is asked.
+    excluded component is left out. ``zero_group``, ``detect_zero_groups``
+    and ``ParamIndex.group_table`` (flat indices) reach groups through these
+    rows alone; ``ParamSlice`` lists are made from them only for ``slices``.
     """
 
     def __init__(self, grouped: list[tuple[int, np.ndarray, tuple[str, ...]]], size: int):
@@ -131,8 +131,7 @@ class PartitionResult:
     excluded: list[ExcludedComponent]
     widths: list[int]  # groups per component (0 for stemless / excluded)
     # per vertex: position in zigs of the group controlling each output
-    # channel (-1: none); grouping, zero detection and surgery read it,
-    # to_doc leaves it out
+    # channel (-1: none); surgery reads it, to_doc leaves it out
     channel_groups: dict[int, list[int]]
     table: GroupTable = field(repr=False)
 
@@ -181,25 +180,12 @@ class PartitionResult:
         return json.dumps(self.to_doc(), indent=1)
 
 
-# ---------------------------------------------------------------------------
-# slice access helpers
-# ---------------------------------------------------------------------------
-
-def slice_view(g: ComputationGraph, s: ParamSlice) -> np.ndarray:
-    """Writable view of the parameters covered by a slice."""
-    params = g.vertices[s.vertex_id].params
-    if s.role == "weight_row":
-        return params.weight[s.start:s.stop, :]
-    return getattr(params, s.role)[s.start:s.stop]
-
-
 def zero_group(g: ComputationGraph, group: ZeroInvariantGroup) -> None:
-    for s in group.slices:
-        slice_view(g, s)[...] = 0.0
-
-
-def group_is_zero(g: ComputationGraph, group: ZeroInvariantGroup) -> bool:
-    return all(not slice_view(g, s).any() for s in group.slices)
+    """Zero every parameter row the group owns in ``group.table``."""
+    for vid, owners, roles in group.table.grouped:
+        rows = owners == group.position
+        for role in roles:
+            getattr(g.vertices[vid].params, role)[rows] = 0.0
 
 
 # ---------------------------------------------------------------------------

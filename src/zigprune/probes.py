@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dhspg import choose_penalty, group_cosine
+from .dhspg import DhspgOptimizer, OptimizerConfig
 
 _NORM_FLOOR = 1e-12
 
@@ -70,22 +70,25 @@ def default_probe(n_groups: int = 6, group_size: int = 4,
                           omega=omega, rho=rho)
 
 
-def _penalties_and_direction(probe: QuadraticProbe, x: np.ndarray,
-                             amplify: float):
+def _optimizer(probe: QuadraticProbe, amplify: float) -> DhspgOptimizer:
+    """The optimizer that trains, over the probe's groups, with the probe's
+    penalized groups marked, so the probes check the direction it takes."""
+    cfg = OptimizerConfig(default_penalty=probe.default_penalty,
+                          penalty_amplify=amplify, norm_floor=_NORM_FLOOR)
+    opt = DhspgOptimizer(np.zeros(probe.matrix.shape[0]), probe.groups, cfg)
+    opt.penalized[probe.penalized] = True
+    return opt
+
+
+def _gradient_and_direction(probe: QuadraticProbe, opt: DhspgOptimizer,
+                             x: np.ndarray):
+    """Gradient and direction at x; the optimizer's ``penalty`` and
+    ``cos_theta`` then hold each penalized group's choice."""
     grad = probe.gradient(x)
-    d = -grad.copy()
-    lams = {}
-    coss = {}
-    for gi in probe.penalized:
-        idx = probe.groups[gi]
-        x_g, g_g = x[idx], grad[idx]
-        x_norm, g_norm = float(np.linalg.norm(x_g)), float(np.linalg.norm(g_g))
-        cos = group_cosine(x_g @ g_g, x_norm, g_norm, _NORM_FLOOR)
-        lam = choose_penalty(cos, g_norm, probe.default_penalty, amplify)
-        d[idx] -= lam * x_g / max(x_norm, _NORM_FLOOR)
-        lams[gi] = lam
-        coss[gi] = cos
-    return grad, d, lams, coss
+    xg = x[opt.idx]
+    x_sq = np.add.reduceat(xg * xg, opt.off)
+    opt.select_lambda(xg, grad[opt.idx], x_sq)
+    return grad, opt.direction(grad, xg, x_sq)
 
 
 def _penalty_root_bound(cos: float, grad_norm: float, lip: float,
@@ -95,10 +98,6 @@ def _penalty_root_bound(cos: float, grad_norm: float, lip: float,
     lin = (1.0 - lip * alpha) * alpha * cos * grad_norm
     disc = lin * lin + 2.0 * a2 * (alpha - a2 / 2.0) * grad_norm * grad_norm
     return (lin + np.sqrt(disc)) / a2
-
-
-def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.normal(size=n)
 
 
 def _result(name, trials, failures, worst, resamples):
@@ -114,16 +113,17 @@ def probe_sufficient_decrease(probe: QuadraticProbe, trials: int = 100,
     alpha = probe.step_fraction / lip
     np_idx = np.concatenate([probe.groups[g] for g in range(len(probe.groups))
                              if g not in probe.penalized])
+    opt = _optimizer(probe, amplify)
     failures = 0
     worst = 0.0
     resamples = 0
     done = 0
     while done < trials:
-        x = _draw(rng, probe.matrix.shape[0])
-        grad, d, lams, coss = _penalties_and_direction(probe, x, amplify)
+        x = rng.normal(size=probe.matrix.shape[0])
+        grad, d = _gradient_and_direction(probe, opt, x)
         ok = all(
-            lams[gi] < _penalty_root_bound(
-                coss[gi], float(np.linalg.norm(grad[probe.groups[gi]])), lip, alpha)
+            opt.penalty[gi] < _penalty_root_bound(
+                opt.cos_theta[gi], float(np.linalg.norm(grad[probe.groups[gi]])), lip, alpha)
             for gi in probe.penalized)
         if not ok:
             resamples += 1
@@ -144,11 +144,12 @@ def probe_sufficient_decrease(probe: QuadraticProbe, trials: int = 100,
 def probe_magnitude_decrease(probe: QuadraticProbe, trials: int = 100,
                              seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
+    opt = _optimizer(probe, probe.penalty_amplify)
     failures = 0
     worst = -np.inf
     for _ in range(trials):
-        x = _draw(rng, probe.matrix.shape[0])
-        _, d, _, _ = _penalties_and_direction(probe, x, probe.penalty_amplify)
+        x = rng.normal(size=probe.matrix.shape[0])
+        _, d = _gradient_and_direction(probe, opt, x)
         for gi in probe.penalized:
             idx = probe.groups[gi]
             x_g, d_g = x[idx], d[idx]
@@ -170,12 +171,13 @@ def probe_magnitude_decrease(probe: QuadraticProbe, trials: int = 100,
 def probe_norm_update_identity(probe: QuadraticProbe, trials: int = 100,
                                seed: int = 0, tol: float = 1e-10) -> dict:
     rng = np.random.default_rng(seed)
+    opt = _optimizer(probe, probe.penalty_amplify)
     omega = probe.omega
     failures = 0
     worst = 0.0
     for _ in range(trials):
-        x = _draw(rng, probe.matrix.shape[0])
-        _, d, _, _ = _penalties_and_direction(probe, x, probe.penalty_amplify)
+        x = rng.normal(size=probe.matrix.shape[0])
+        _, d = _gradient_and_direction(probe, opt, x)
         for gi in probe.penalized:
             idx = probe.groups[gi]
             x_g, d_g = x[idx], d[idx]
@@ -195,6 +197,7 @@ def probe_norm_update_identity(probe: QuadraticProbe, trials: int = 100,
 def probe_contraction(probe: QuadraticProbe, trials: int = 100,
                       seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
+    opt = _optimizer(probe, probe.penalty_amplify)
     omega, rho = probe.omega, probe.rho
     gamma_sq = (2.0 * omega - omega * omega) * rho * rho
     p_idx = np.concatenate([probe.groups[g] for g in probe.penalized])
@@ -203,8 +206,8 @@ def probe_contraction(probe: QuadraticProbe, trials: int = 100,
     resamples = 0
     done = 0
     while done < trials:
-        x = _draw(rng, probe.matrix.shape[0])
-        _, d, _, _ = _penalties_and_direction(probe, x, probe.penalty_amplify)
+        x = rng.normal(size=probe.matrix.shape[0])
+        _, d = _gradient_and_direction(probe, opt, x)
         ratios = []
         ok = True
         for gi in probe.penalized:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,32 @@ def test_group_table_is_a_read_only_csr_of_every_group():
     assert other.table is not part.table
     for z, w in zip(part.zigs, other.zigs):
         assert np.array_equal(index.group_indices(w), index.group_indices(z))
+
+
+def test_index_owns_the_parameters_in_one_buffer():
+    g = BUILDERS["demo_net"](seed=0)
+    index = ParamIndex(g)
+    arrays = [arr for vid in sorted(g.vertices) if g.vertices[vid].params is not None
+              for _, arr in g.vertices[vid].params.trainable_items()]
+    assert all(np.shares_memory(arr, index.x) for arr in arrays)
+    assert sum(arr.size for arr in arrays) == index.size
+    # scatter writes the buffer in place: it makes no block the size of
+    # even the smallest weight matrix (copying every array makes 1 MiB)
+    vec = np.random.default_rng(0).normal(size=index.size)
+    smallest = min(arr.nbytes for arr in arrays if arr.ndim > 1)
+    tracemalloc.start()
+    try:
+        index.scatter(g, vec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < smallest
+    assert np.array_equal(index.gather(g), vec)
+    assert np.array_equal(np.concatenate([arr.ravel() for arr in arrays]), vec)
+    # a second index takes the arrays over; the first one then refuses
+    second = ParamIndex(g)
+    assert np.array_equal(second.x, vec) and not np.shares_memory(second.x, index.x)
+    with pytest.raises(ValueError, match="later ParamIndex"):
+        index.scatter(g, vec)
+    with pytest.raises(ValueError, match="later ParamIndex"):
+        index.gather(g)

@@ -16,9 +16,10 @@ from zigprune.partition import (
     dependency_components,
     form_zigs,
     partition,
-    slice_view,
     zero_group,
 )
+
+from test_compression import slice_view
 
 
 # Hand-written graphs. Stems whose channels reach the output or an unknown op

@@ -23,7 +23,9 @@ from zigprune.errors import AllGroupsZeroInComponent
 from zigprune.graph import (Conv2d, build_graph, count_flops_params, graph_to_doc,
                             infer_shapes, init_params)
 from zigprune.paramvec import ParamIndex
-from zigprune.partition import group_is_zero, partition, zero_group
+from zigprune.partition import partition, zero_group
+
+from test_compression import group_is_zero
 
 
 def reference_train_graph(g, part, data, cfg, rng_batches, target_groups=None):
