@@ -80,10 +80,21 @@ def _as_batch_list(g: ComputationGraph, inputs) -> list[np.ndarray]:
     return arrays
 
 
+def _owns(vin: list[np.ndarray], xs: list[np.ndarray], acts: dict) -> bool:
+    """Whether an eval op may write into its first input: no graph input,
+    other input of this vertex or live activation shares its memory, so
+    the walk made it and has dropped it after this vertex, its last reader.
+    An empty array shares memory with nothing, so one that is a view of a
+    read-only graph input is caught by the writable flag alone."""
+    x = vin[0]
+    return x.flags.writeable and not any(np.may_share_memory(x, y)
+                                         for y in (*xs, *vin[1:], *acts.values()))
+
+
 def _walk(g: ComputationGraph, xs: list[np.ndarray], out_id: int, mode: str):
     """One pass over the graph: (output, each vertex's op cache), or
     (output, None) in eval mode, which drops every op cache as the op
-    returns."""
+    returns and lets an op write into an input it ``own``s (``_owns``)."""
     pending = {vid: len(succs) for vid, succs in g.succs.items()}
     pending[out_id] += 1  # so the output is never dropped
     acts: dict[int, np.ndarray] = {}
@@ -101,8 +112,11 @@ def _walk(g: ComputationGraph, xs: list[np.ndarray], out_id: int, mode: str):
                 if not pending[p]:
                     del acts[p]
         vx = g.vertices[vid]
-        acts[vid], vcache = vx.kind.forward(vx.params, vin, mode, src, memo)
-        if vcaches is not None:
+        if vcaches is None:
+            acts[vid], vcache = vx.kind.forward(vx.params, vin, mode, src, memo,
+                                                own=_owns(vin, xs, acts))
+        else:
+            acts[vid], vcache = vx.kind.forward(vx.params, vin, mode, src, memo)
             vcaches[vid] = vcache
         del vin, vcache
         if not pending[vid]:
@@ -125,7 +139,9 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
     walks the batch ``EVAL_BATCH`` samples at a time, every graph input
     sliced alike, each walk with its own memo, and concatenates the outputs;
     a batch of at most ``EVAL_BATCH`` samples is one walk with no copy. Each
-    op's cache is dropped as the op returns.
+    op's cache is dropped as the op returns, and an op may write its output
+    into a dead input that nothing live shares (``_owns``); no train walk
+    writes an activation, and no walk writes the caller's arrays.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")

@@ -194,12 +194,16 @@ class OpKind:
     def label(self) -> str:
         return ""
 
-    def forward(self, params, xs: list[np.ndarray], mode: str, src=None, memo=None):
+    def forward(self, params, xs: list[np.ndarray], mode: str, src=None, memo=None,
+                own=False):
         """Returns (output, cache for ``backward``); the engine drops an
         eval-mode cache unread. ``src`` names the tensor a single-input
         vertex reads. ``memo`` is a dict that lives for one forward pass:
         ops that read one ``src`` keep there what they would otherwise
-        compute alike from it (im2col columns, BatchNorm sums)."""
+        compute alike from it (im2col columns, BatchNorm sums). With
+        ``own`` True (eval mode only) nothing else reads ``xs[0]`` or shares
+        its memory, so the op may write its output into it; an op that does
+        must compute the same values it computes without ``own``."""
         return xs[0], {}
 
     def backward(self, params, cache, dout: np.ndarray, grads: dict, need_dx: bool = True,
@@ -258,7 +262,7 @@ class Conv2d(OpKind):
     def label(self):
         return f"{self.in_channels}->{self.out_channels} k{self.kernel}"
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         """One GEMM per image, ``[weight | bias] @ cols``, with a zero bias
         column when there is no bias; the columns' last row is all ones."""
         x, = xs
@@ -328,11 +332,11 @@ class Linear(OpKind):
     def label(self):
         return f"{self.in_features}->{self.out_features}"
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         x, = xs
         out = x @ params.weight.T
         if params.bias is not None:
-            out = out + params.bias
+            out += params.bias
         return out, {"x": x}
 
     def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
@@ -378,7 +382,7 @@ class BatchNorm(OpKind):
     def label(self):
         return f"C={self.channels}"
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         """Both modes write ``x * a + b`` with ``a = gamma * inv_std`` and
         ``b = beta - mean * a``. Train mode takes ``mean`` and ``inv_std``
         from the batch and updates the running statistics; it reads x in
@@ -387,7 +391,8 @@ class BatchNorm(OpKind):
         rows ``np.repeat(a, S)`` and ``np.repeat(b, S)``. BatchNorms that
         read one ``src`` share the sums through ``memo``; its cache holds
         ``mean`` and ``inv_std``, which ``backward`` reads. Eval mode uses the
-        running statistics in two full-size passes and keeps no cache."""
+        running statistics in two full-size passes, through the input's
+        (N, C, S) view when it ``own``s x, and keeps no cache."""
         x, = xs
         x3 = _bn_view(x)
         if mode == "train":
@@ -417,7 +422,7 @@ class BatchNorm(OpKind):
             return out.reshape(x.shape), {"x": x3, "mean": mean, "inv_std": inv_std,
                                           "src": src}
         a = params.gamma * (1.0 / np.sqrt(params.running_var + BN_EPS))
-        out = x3 * a[:, None]
+        out = np.multiply(x3, a[:, None], out=x3 if own else None)
         out += (params.beta - params.running_mean * a)[:, None]
         return out.reshape(x.shape), {}
 
@@ -477,13 +482,15 @@ class ReLU(OpKind):
     def flops(self, out_shape, n_inputs):
         return _numel(out_shape)
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
+        """Train mode caches the mask ``out > 0``, not the output, so the
+        output dies with its last consumer."""
         x, = xs
-        out = np.maximum(x, 0.0)
-        return out, {"out": out}
+        out = np.maximum(x, 0.0, out=x if own else None)
+        return out, {"mask": out > 0} if mode == "train" else {}
 
     def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
-        return [dout * (cache["out"] > 0)]
+        return [dout * cache["mask"]]
 
 
 @dataclass(frozen=True)
@@ -507,7 +514,7 @@ class _Pool(OpKind):
 class MaxPool(_Pool):
     op = "max_pool"
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         x, = xs
         win = _windows(x, self.kernel, self.stride)
         flat = win.reshape(*win.shape[:4], self.kernel ** 2)
@@ -527,7 +534,7 @@ class MaxPool(_Pool):
 class AvgPool(_Pool):
     op = "avg_pool"
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         x, = xs
         k = self.kernel
         if _tiles(self, x.shape):
@@ -568,7 +575,7 @@ class Flatten(OpKind):
         n, c, h, w = shape
         return (n, c * h * w)
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         x, = xs
         return x.reshape(x.shape[0], math.prod(x.shape[1:])), {"x_shape": x.shape}
 
@@ -599,8 +606,8 @@ class _Elementwise(OpKind):
 class Add(_Elementwise):
     op = "add"
 
-    def forward(self, params, xs, mode, src=None, memo=None):
-        out = xs[0] + xs[1]
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
+        out = np.add(xs[0], xs[1], out=xs[0] if own else None)
         for x in xs[2:]:
             out += x
         return out, {"n": len(xs)}
@@ -613,8 +620,8 @@ class Add(_Elementwise):
 class Mul(_Elementwise):
     op = "mul"
 
-    def forward(self, params, xs, mode, src=None, memo=None):
-        out = xs[0] * xs[1]
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
+        out = np.multiply(xs[0], xs[1], out=xs[0] if own else None)
         for x in xs[2:]:
             out *= x
         return out, {"xs": xs}
@@ -647,7 +654,7 @@ class Concat(OpKind):
         channels = sum(s[1] for s in in_shapes)
         return (first[0], channels, *first[2:])
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         widths = [x.shape[1] for x in xs]
         return np.concatenate(xs, axis=1), {"widths": widths}
 
@@ -668,7 +675,7 @@ class Unknown(OpKind):
     def label(self):
         return self.opname
 
-    def forward(self, params, xs, mode, src=None, memo=None):
+    def forward(self, params, xs, mode, src=None, memo=None, own=False):
         raise GraphError(f"cannot execute unknown op {self.opname!r}")
 
 

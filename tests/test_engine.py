@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zigprune import engine, ops
-from zigprune.builders import BUILDERS, demo_net
+from zigprune.builders import BUILDERS, demo_net, random_small_dag
 from zigprune.engine import (EVAL_BATCH, _loss_and_grad, accuracy, backward, evaluate_loss,
                              forward)
 from zigprune.errors import GraphError, ShapeMismatch
@@ -569,6 +569,153 @@ def test_eval_forward_keeps_no_caches():
     assert peak < 12 * 2 ** 20, f"{peak} bytes at the peak of an eval forward"
 
 
+# ---------------------------------------------------------------------------
+# eval mode: ops write into the inputs they own
+# ---------------------------------------------------------------------------
+
+def record_forwards(monkeypatch, g, record):
+    """Patch the forward of every kind in g to call ``record(kwargs, cache)``
+    after it returns."""
+    for cls in {type(vx.kind) for vx in g.vertices.values()}:
+        def recorded(self, *args, _forward=cls.forward, **kwargs):
+            out, cache = _forward(self, *args, **kwargs)
+            record(kwargs, cache)
+            return out, cache
+        monkeypatch.setattr(cls, "forward", recorded)
+
+
+def test_eval_walk_owns_each_dead_unshared_input(monkeypatch):
+    """On demo_net an eval op owns its first input wherever it is that
+    activation's last reader: not the vertices that read the graph input,
+    and not BN2, as BN3 reads y after it. A train walk passes no ``own``."""
+    g = demo_net(seed=9)
+    assert g.topo_order == list(range(17))
+    owns = []
+    record_forwards(monkeypatch, g, lambda kwargs, cache: owns.append(kwargs.get("own")))
+    x = np.random.default_rng(57).normal(size=(EVAL_BATCH, 3, 16, 16))
+    forward(g, x, mode="eval")
+    # conv1 bn1 relu1 conv2 conv3 add1 bn2 bn3 add2, then the trunk
+    assert owns == [False, True, True, False, False, True, False, True, True] + [True] * 8
+    owns.clear()
+    forward(g, x[:4], mode="train")
+    assert owns == [None] * 17
+
+
+def two_reader_graphs():
+    """Graphs in which the last reader of an activation is not its only
+    user: Add(x, x); Add(x, y, x) and Mul(x, y, x), whose third input is
+    the first; and a ReLU whose input a live Flatten view also reads."""
+    c = conv_spec(2, 3)
+    joint = [{"op": "add"}, {"op": "relu"}, {"op": "flatten"},
+             {"op": "linear", "in_features": 48, "out_features": 2}]
+    graphs = [graph_of((1, 2, 4, 4), [c, *joint], [[0, 1], [0, 1], [1, 2], [2, 3], [3, 4]],
+                       seed=58)]
+    for op in ("add", "mul"):
+        graphs.append(graph_of((1, 2, 4, 4), [c, c, {"op": op}, {"op": "relu"}],
+                               [[0, 2], [1, 2], [0, 2], [2, 3]], seed=59))
+    graphs.append(graph_of((1, 2, 4, 4), [
+        c,                                # 0
+        {"op": "flatten"},                # 1: a view of 0, read by 4
+        {"op": "relu"},                   # 2: 0's last reader
+        {"op": "flatten"},                # 3
+        {"op": "add"},                    # 4: add(1, 3)
+        {"op": "linear", "in_features": 48, "out_features": 2},
+    ], [[0, 1], [0, 2], [2, 3], [1, 4], [3, 4], [4, 5]], seed=60))
+    assert graphs[-1].topo_order == list(range(6))
+    return graphs
+
+
+def test_eval_outputs_are_byte_identical_to_unowned_forwards():
+    """An eval walk's output is, byte for byte, what the kinds compute with
+    no op writing an input, on 50 random DAGs and on graphs whose
+    activations have two readers; the caller's inputs are left as they
+    were. (test_eval_forward_is_its_chunk_walks_concatenated checks the
+    same on every builder.)"""
+    rng = np.random.default_rng(61)
+    graphs = [randomize_bn(random_small_dag(rng), 62) for _ in range(50)]
+    for g in graphs + two_reader_graphs():
+        xs = random_inputs(g, EVAL_BATCH, 63)
+        before = [x.copy() for x in xs]
+        out, _ = forward(g, xs, mode="eval")
+        assert out.tobytes() == vertex_outputs(g, before, "eval")[output_of(g)].tobytes()
+        assert all(x.tobytes() == b.tobytes() for x, b in zip(xs, before))
+
+
+@pytest.mark.parametrize("n", [0, 5, 2 * EVAL_BATCH + 3])
+@pytest.mark.parametrize("flatten", [False, True])
+def test_eval_forward_never_writes_the_callers_input(n, flatten):
+    """A ReLU that reads the graph input, or a Flatten view of it, is the
+    last reader of its input, yet owns none of the caller's array; a
+    read-only input, an empty one included, runs."""
+    if flatten:
+        g = graph_of((1, 2, 3, 3), [{"op": "flatten"}, {"op": "relu"},
+                                    {"op": "linear", "in_features": 18, "out_features": 2}],
+                     [[0, 1], [1, 2]], seed=64)
+    else:
+        g = graph_of((1, 2, 3, 3), [{"op": "relu"}], [], seed=64)
+    x = np.random.default_rng(65).normal(size=(n, 2, 3, 3))
+    before = x.copy()
+    forward(g, x, mode="eval")
+    assert x.tobytes() == before.tobytes()
+    x.flags.writeable = False
+    forward(g, x, mode="eval")
+
+
+def test_owned_eval_batchnorm_and_relu_allocate_no_full_size_array():
+    """Given an input they own, eval BatchNorm and ReLU write through it:
+    on a 32-sample activation the pair returns a view of it, byte-identical
+    to the unowned pair, and allocates nothing near its size."""
+    bn = BatchNorm(channels=16)
+    p = bn.default_params()
+    rng = np.random.default_rng(66)
+    p.gamma, p.beta = rng.uniform(0.5, 1.5, 16), rng.normal(size=16)
+    p.running_mean, p.running_var = rng.normal(size=16), rng.uniform(0.5, 2.0, 16)
+    x = rng.normal(size=(EVAL_BATCH, 16, 16, 16))
+    want = ReLU().forward(None, [bn.forward(p, [x], "eval")[0]], "eval")[0]
+    tracemalloc.start()
+    try:
+        y, _ = bn.forward(p, [x], "eval", own=True)
+        z, _ = ReLU().forward(None, [y], "eval", own=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(z, x)
+    assert z.tobytes() == want.tobytes()
+    assert peak < x.nbytes // 4, f"peak {peak} bytes for a {x.nbytes}-byte activation"
+
+
+def test_train_step_never_writes_a_cached_array(monkeypatch):
+    """Every array an op caches in a train forward reads, when the step's
+    backward has returned, as it did when the op returned: no later op of
+    the forward and no backward writes it. In the second graph a Linear
+    caches the ReLU output that an Add reads last."""
+    chain = graph_of((1, 4), [
+        {"op": "linear", "in_features": 4, "out_features": 6},   # 0
+        {"op": "relu"},                                          # 1
+        {"op": "linear", "in_features": 6, "out_features": 6},   # 2: caches 1
+        {"op": "add"},                                           # 3: add(1, 2)
+        {"op": "mul"},                                           # 4: mul(3, 2)
+        {"op": "linear", "in_features": 6, "out_features": 2},   # 5
+    ], [[0, 1], [1, 2], [1, 3], [2, 3], [3, 4], [2, 4], [4, 5]], seed=67)
+    rng = np.random.default_rng(68)
+    for g, x in ((randomize_bn(demo_net(seed=9), 69), rng.normal(size=(6, 3, 16, 16))),
+                 (chain, rng.normal(size=(6, 4)))):
+        cached = []
+
+        def snapshot(kwargs, cache):
+            for v in cache.values():
+                for a in v if isinstance(v, list) else [v]:
+                    if isinstance(a, np.ndarray):
+                        cached.append((a, a.copy()))
+
+        record_forwards(monkeypatch, g, snapshot)
+        _, cache = forward(g, x, mode="train")
+        monkeypatch.undo()
+        backward(g, cache, "cross_entropy", np.zeros(len(x), dtype=int))
+        assert len(cached) >= len(g.vertices)
+        assert all(a.tobytes() == b.tobytes() for a, b in cached)
+
+
 def test_backward_rejects_an_eval_forward():
     g = demo_net(seed=9)
     x = np.random.default_rng(52).normal(size=(4, 3, 16, 16))
@@ -896,8 +1043,9 @@ def test_batchnorm_memo_entry_of_another_array_is_not_used():
 def test_forward_frees_each_activation_after_its_last_consumer(monkeypatch):
     """An output that no op cache holds is freed by the end of the pass, a
     dead-end vertex's before the next vertex runs; a duplicate edge counts
-    as two consumers; a ReLU's output (its cache holds it) and the graph
-    output survive."""
+    as two consumers; a ReLU's output dies after its last consumer (its
+    cache holds only the mask); Linear's input (its cache holds it) and the
+    graph output survive."""
     g = graph_of((1, 2, 4, 4), [
         conv_spec(2, 3),                  # 0: read by 1 and the dead end 2
         {"op": "relu"},                   # 1
@@ -922,15 +1070,16 @@ def test_forward_frees_each_activation_after_its_last_consumer(monkeypatch):
     out, cache = forward(g, x, mode="train")
     monkeypatch.undo()
     assert out.tobytes() == vertex_outputs(g, x, "train")[7].tobytes()
-    # After the pass: 1 lives in ReLU's cache, 6 in Linear's (and 5 as the
-    # base of 6, a Flatten view), 7 as the output; no cache holds the rest.
-    assert [r() is not None for r in refs] == [False, True, False, False, False,
+    # After the pass: 6 lives in Linear's cache (and 5 as the base of 6, a
+    # Flatten view), 7 as the output; no cache holds the rest.
+    assert [r() is not None for r in refs] == [False, False, False, False, False,
                                                True, True, True]
     # Row i: which earlier outputs were alive as vertex i's forward began.
-    # 0 dies once the dead end 2 has run, and 2 at once; 3 outlives its
-    # duplicate edge into 4; 3 and 4 die after 5, their last consumer.
+    # 0 dies once the dead end 2 has run, and 2 at once; the ReLU output 1
+    # dies after 3, its only consumer; 3 outlives its duplicate edge into 4;
+    # 3 and 4 die after 5, their last consumer.
     alive = ["".join("01"[a] for a in row) for row in alive_at_call]
-    assert alive == ["", "1", "11", "010", "0101", "01011", "010001", "0100011"]
+    assert alive == ["", "1", "11", "010", "0001", "00011", "000001", "0000011"]
     del out
     assert refs[7]() is not None    # the cache keeps the graph output
     del cache
