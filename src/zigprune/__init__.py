@@ -6,7 +6,7 @@ gradient optimizer to drive a chosen number of groups to exact zero, then
 rebuild a smaller graph with identical eval-mode outputs.
 """
 
-from .builders import conv_chain, demo_net, random_small_dag, residual_block_net, stacked_unets_mini
+from .builders import demo_net, residual_block_net, stacked_unets_mini
 from .compression import (
     PruneMask,
     build_channel_maps,
@@ -19,7 +19,7 @@ from .compression import (
 )
 from .dhspg import DhspgOptimizer, OptimizerConfig
 from .engine import accuracy, backward, evaluate_loss, forward
-from .harness import ExperimentConfig, run_ablation_dhspg_vs_hspg, run_pipeline, run_runtime_bench
+from .harness import ExperimentConfig, run_ablation_dhspg_vs_hspg, run_pipeline
 from .paramvec import ParamIndex
 from .probes import QuadraticProbe, default_probe, run_lemma_probes
 from .graph import (
@@ -30,7 +30,6 @@ from .graph import (
     count_flops_params,
     export_dot,
     graph_to_doc,
-    graphs_structurally_equal,
     infer_shapes,
     init_params,
     load_graph,

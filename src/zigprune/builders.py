@@ -151,99 +151,8 @@ def stacked_unets_mini(seed: int = 0) -> ComputationGraph:
     return _finish(doc, seed)
 
 
-def conv_chain(n_vertices: int, seed: int = 0, channels: int = 4) -> ComputationGraph:
-    """Conv/BN/ReLU chain of roughly n_vertices vertices, for scaling runs."""
-    blocks = max(1, (n_vertices - 1) // 3)
-    vertices = []
-    edges = []
-    vid = 0
-    prev = None
-    for b in range(blocks):
-        cin = 3 if b == 0 else channels
-        vertices.append({"id": vid, "op": "conv2d", "kernel": 1, "stride": 1,
-                         "padding": 0, "in_channels": cin, "out_channels": channels})
-        vertices.append({"id": vid + 1, "op": "batch_norm", "channels": channels})
-        vertices.append({"id": vid + 2, "op": "relu"})
-        if prev is not None:
-            edges.append([prev, vid])
-        edges.extend([[vid, vid + 1], [vid + 1, vid + 2]])
-        prev = vid + 2
-        vid += 3
-    vertices.append({"id": vid, "op": "output"})
-    edges.append([prev, vid])
-    doc = {"input_shapes": [[1, 3, 2, 2]], "vertices": vertices, "edges": edges}
-    return _finish(doc, seed)
-
-
 BUILDERS = {
     "demo_net": demo_net,
     "residual_block_net": residual_block_net,
     "stacked_unets_mini": stacked_unets_mini,
 }
-
-
-def random_small_dag(rng: np.random.Generator) -> ComputationGraph:
-    """Random valid small graph (serialization / equivalence property fodder).
-
-    Grows a conv trunk with occasional Add/Mul branch joins and channel
-    concats, then closes with pool/flatten/linear/output.
-    """
-    channels = int(rng.choice([2, 3, 4]))
-    size = int(rng.choice([4, 6, 8]))
-    vertices = [{"id": 0, "op": "conv2d", "kernel": 3, "stride": 1, "padding": 1,
-                 "in_channels": channels, "out_channels": 4}]
-    edges = []
-    vid = 1
-    # open tensors: (vertex id, channels)
-    opens = [(0, 4)]
-    for _ in range(int(rng.integers(2, 7))):
-        roll = rng.random()
-        src, c = opens[int(rng.integers(len(opens)))]
-        if roll < 0.35:
-            cout = int(rng.choice([2, 4, 6]))
-            vertices.append({"id": vid, "op": "conv2d", "kernel": 3, "stride": 1,
-                             "padding": 1, "in_channels": c, "out_channels": cout})
-            edges.append([src, vid])
-            opens.append((vid, cout))
-            vid += 1
-        elif roll < 0.6:
-            vertices.append({"id": vid, "op": "batch_norm", "channels": c})
-            edges.append([src, vid])
-            vertices.append({"id": vid + 1, "op": "relu"})
-            edges.append([vid, vid + 1])
-            opens.append((vid + 1, c))
-            vid += 2
-        elif roll < 0.8:
-            # split into two convs of equal width, rejoin with add or mul
-            cout = int(rng.choice([2, 4]))
-            for k in range(2):
-                vertices.append({"id": vid + k, "op": "conv2d", "kernel": 1, "stride": 1,
-                                 "padding": 0, "in_channels": c, "out_channels": cout})
-                edges.append([src, vid + k])
-            joint = "add" if rng.random() < 0.5 else "mul"
-            vertices.append({"id": vid + 2, "op": joint})
-            edges.extend([[vid, vid + 2], [vid + 1, vid + 2]])
-            opens.append((vid + 2, cout))
-            vid += 3
-        else:
-            other, c2 = opens[int(rng.integers(len(opens)))]
-            if other == src:
-                continue
-            vertices.append({"id": vid, "op": "concat"})
-            edges.extend([[src, vid], [other, vid]])
-            opens.append((vid, c + c2))
-            vid += 1
-    tail, c = opens[int(rng.integers(len(opens)))]
-    vertices.append({"id": vid, "op": "avg_pool", "kernel": 2, "stride": 2})
-    edges.append([tail, vid])
-    vertices.append({"id": vid + 1, "op": "flatten"})
-    edges.append([vid, vid + 1])
-    feat = c * (size // 2) ** 2
-    vertices.append({"id": vid + 2, "op": "linear", "in_features": feat, "out_features": 3})
-    edges.append([vid + 1, vid + 2])
-    vertices.append({"id": vid + 3, "op": "output"})
-    edges.append([vid + 2, vid + 3])
-    doc = {"input_shapes": [[1, channels, size, size]], "vertices": vertices, "edges": edges}
-    g = infer_shapes(build_graph(doc))
-    init_params(g, rng)
-    return g

@@ -21,7 +21,7 @@ import sys
 
 from .compression import verify_equivalence
 from .datasets import GroupSparseProblem, dataset_spec
-from .errors import ConfigError, Count, ZigpruneError, check_fields
+from .errors import ConfigError, Count, ZigpruneError, check_fields, read_json
 from .graph import export_dot, infer_shapes, load_graph
 from .harness import (
     ExperimentConfig,
@@ -31,14 +31,14 @@ from .harness import (
     rng_streams,
     run_ablation_dhspg_vs_hspg,
     run_pipeline,
+    write_json,
 )
 from .partition import partition
 from .probes import default_probe, run_lemma_probes
 
 
 def _load_run_config(run_dir: str) -> ExperimentConfig:
-    with open(os.path.join(run_dir, "config.json"), encoding="utf-8") as fh:
-        return ExperimentConfig.from_doc(json.load(fh))
+    return ExperimentConfig.from_doc(read_json(os.path.join(run_dir, "config.json"), "config"))
 
 
 def cmd_partition(args) -> int:
@@ -87,8 +87,7 @@ def cmd_eval(args) -> int:
     doc = {"equivalence": equiv,
            "full": {"test_loss": loss_full, "test_accuracy": acc_full},
            "compressed": {"test_loss": loss_small, "test_accuracy": acc_small}}
-    with open(os.path.join(args.run_dir, "eval.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+    write_json(os.path.join(args.run_dir, "eval.json"), doc)
     print(json.dumps(doc, indent=1))
     return 0 if equiv["passed"] else 1
 
@@ -105,12 +104,8 @@ COMPONENT_DOC = {"id": Count, "vertices": list[Count], "stems": list[Count],
 def cmd_viz(args) -> int:
     g = infer_shapes(load_graph(args.graph))
     if args.partition:
-        try:
-            with open(args.partition, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read partition {args.partition!r}: {exc}") from None
-        doc = check_fields(doc, PARTITION_DOC, "partition", required=("components",))
+        doc = check_fields(read_json(args.partition, "partition"), PARTITION_DOC, "partition",
+                           required=("components",))
         coloring = {}
         for i, comp in enumerate(doc["components"]):
             comp = check_fields(comp, COMPONENT_DOC, f"partition component {i}",
@@ -123,8 +118,7 @@ def cmd_viz(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(os.path.join(args.run_dir, "metrics.json"), encoding="utf-8") as fh:
-        m = json.load(fh)
+    m = read_json(os.path.join(args.run_dir, "metrics.json"), "metrics")
     print(f"FLOPs: {m['flops_compressed']} / {m['flops_full']} "
           f"({m['flops_ratio']:.1%})")
     print(f"params: {m['params_compressed']} / {m['params_full']} "
@@ -156,9 +150,7 @@ def cmd_ablate(args) -> int:
         seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size,
         opt_base=cfg.optimizer)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "ablation.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(table, fh, indent=1)
+    write_json(os.path.join(cfg.output_dir, "ablation.json"), table)
     print(f"{'method':8s} {'setting':14s} {'zero groups':>12s} {'objective':>12s}")
     for row in table["rows"]:
         print(f"{row['method']:8s} {row['setting']:14s} "

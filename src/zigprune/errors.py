@@ -1,7 +1,9 @@
-"""Exception types raised across the toolkit, and the one check of every
-document from outside the program: each value against its annotation."""
+"""Exception types raised across the toolkit, the one reader of every JSON
+file from outside the program, and the one check of every document read:
+each value against its annotation."""
 
 import functools
+import json
 import sys
 import typing
 from typing import Annotated
@@ -171,3 +173,13 @@ def check_fields(doc, types, what: str, error: type = ConfigError, required=()) 
             raise error(f"{what} {key!r} is required")
     return {key: check_value(value, types[key], f"{what} {key!r}", error)
             for key, value in doc.items()}
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; a ConfigError names
+    ``what`` and the path when the file cannot be read or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from None

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CycleDetected, DanglingEdge, GraphError, Size, UnknownKindString,
-                     check_fields, check_value, field_types)
+                     check_fields, check_value, field_types, read_json)
 # The op kinds, their categories and ParameterSet are re-exported from here.
 from .ops import (ACCESSORY, KINDS, OUTPUT, SD_JOINT, SID_JOINT, STEM,  # noqa: F401
                   TRAINABLE_ROLES, UNKNOWN, Add, AvgPool, BatchNorm, Concat, Conv2d,
@@ -90,14 +90,10 @@ class ComputationGraph:
     preds: dict[int, list[int]] = field(default_factory=dict, repr=False)
     succs: dict[int, list[int]] = field(default_factory=dict, repr=False)
     topo_order: list[int] = field(default_factory=list, repr=False)
-    topo_index: dict[int, int] = field(default_factory=dict, repr=False)
     input_ids: list[int] = field(default_factory=list, repr=False)
     output_id: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self._index()
-
-    def _index(self) -> None:
         self.preds = {v: [] for v in self.vertices}
         self.succs = {v: [] for v in self.vertices}
         for src, dst in self.edges:
@@ -106,7 +102,6 @@ class ComputationGraph:
             self.preds[dst].append(src)
             self.succs[src].append(dst)
         self.topo_order = self._toposort()
-        self.topo_index = {v: i for i, v in enumerate(self.topo_order)}
         self.input_ids = sorted(
             v for v in self.vertices
             if not self.preds[v] and self.vertices[v].category != OUTPUT
@@ -322,42 +317,15 @@ def graph_to_doc(g: ComputationGraph, include_params: bool = True) -> dict:
     }
 
 
-def save_graph(g: ComputationGraph, path, include_params: bool = True) -> None:
+def save_graph(g: ComputationGraph, path) -> None:
     # json.dumps uses the C encoder; json.dump streams through the Python one
-    text = json.dumps(graph_to_doc(g, include_params=include_params))
+    text = json.dumps(graph_to_doc(g))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def load_graph(path) -> ComputationGraph:
-    with open(path, encoding="utf-8") as fh:
-        return build_graph(json.load(fh))
-
-
-def graphs_structurally_equal(a: ComputationGraph, b: ComputationGraph,
-                              check_params: bool = True) -> bool:
-    if sorted(a.vertices) != sorted(b.vertices):
-        return False
-    if a.edges != b.edges or a.input_shapes != b.input_shapes:
-        return False
-    if a.input_binding != b.input_binding:
-        return False
-    for vid, va in a.vertices.items():
-        vb = b.vertices[vid]
-        if va.kind != vb.kind:
-            return False
-        if check_params:
-            pa, pb = va.params, vb.params
-            if (pa is None) != (pb is None):
-                return False
-            if pa is not None:
-                for f in fields(pa):
-                    xa, xb = getattr(pa, f.name), getattr(pb, f.name)
-                    if (xa is None) != (xb is None):
-                        return False
-                    if xa is not None and not np.array_equal(xa, xb):
-                        return False
-    return True
+    return build_graph(read_json(path, "graph"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,15 @@
 One experiment = partition, train, compress, verify, report. All randomness
 flows from a single seed through named substreams, in this fixed order:
 params (weight init), data (dataset generation), batches (epoch shuffling),
-equivalence (verification inputs), bench (timing runs). A fixed seed makes
-the partition JSON, the training log (timing column aside), and the
-compressed graph JSON byte-reproducible.
+equivalence (verification inputs). A fixed seed makes the partition JSON,
+the training log (timing column aside), and the compressed graph JSON
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import gc
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from typing import Annotated, Optional
 
 import numpy as np
 
-from .builders import BUILDERS, conv_chain
+from .builders import BUILDERS
 from .compression import (build_channel_maps, compress, group_flops_savings, make_mask,
                           prune, verify_equivalence)
 from .datasets import (
@@ -38,12 +37,12 @@ from .datasets import (
 from .dhspg import DhspgOptimizer, OptimizerConfig
 from .engine import EVAL_BATCH, accuracy, backward, evaluate_loss, forward
 from .errors import (AllGroupsZeroInComponent, ConfigError, Count, NonNegative, Size,
-                     TrainingDiverged, check_fields, check_value, field_types)
+                     TrainingDiverged, check_fields, check_value, field_types, read_json)
 from .graph import count_flops_params, infer_shapes, init_params, load_graph, save_graph
 from .paramvec import ParamIndex
 from .partition import PartitionResult, partition
 
-STREAMS = ("params", "data", "batches", "equivalence", "bench")
+STREAMS = ("params", "data", "batches", "equivalence")
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -86,8 +85,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_doc(json.load(fh))
+        cfg = ExperimentConfig.from_doc(read_json(path, "config"))
         env_seed = os.environ.get("ZIGPRUNE_SEED")
         if env_seed is not None:
             try:
@@ -123,11 +121,7 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
         init_params(g, rng_params)
         return g
     if "path" in spec:
-        try:
-            g = load_graph(spec["path"])
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read graph {spec['path']!r}: {exc}") from None
-        return infer_shapes(g)
+        return infer_shapes(load_graph(spec["path"]))
     raise ConfigError("graph spec needs 'builder' or 'path'")
 
 
@@ -313,7 +307,7 @@ class PipelineResult:
     output_dir: str
 
 
-def _write_json(path: str, doc) -> None:
+def write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
 
@@ -338,11 +332,11 @@ def compress_and_verify(g, part: PartitionResult, cfg: ExperimentConfig, output_
         "flops_full": flops_full, "params_full": params_full,
         "flops_compressed": flops_small, "params_compressed": params_small,
     }
-    _write_json(os.path.join(output_dir, "compression.json"), sizes)
+    write_json(os.path.join(output_dir, "compression.json"), sizes)
     equiv = verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
                                tol=cfg.equivalence_tol,
                                rng=rng_streams(cfg.seed)["equivalence"])
-    _write_json(os.path.join(output_dir, "equivalence.json"), equiv)
+    write_json(os.path.join(output_dir, "equivalence.json"), equiv)
     return small, mask, sizes, equiv
 
 
@@ -367,7 +361,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     cfg.optimizer.resolved(math.ceil(len(data.x_train) / cfg.batch_size))  # checks the steps
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
+    write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
     with open(os.path.join(cfg.output_dir, "partition.json"), "w",
               encoding="utf-8") as fh:
         fh.write(part.to_json())
@@ -404,7 +398,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
         "equivalence": equiv,
         "epochs": rows,
     }
-    _write_json(os.path.join(cfg.output_dir, "metrics.json"), metrics)
+    write_json(os.path.join(cfg.output_dir, "metrics.json"), metrics)
     return PipelineResult(ok=bool(equiv["passed"]) and target_met, metrics=metrics,
                           output_dir=cfg.output_dir)
 
@@ -457,58 +451,3 @@ def run_ablation_dhspg_vs_hspg(problem: GroupSparseProblem,
              for lam in lambda_sweep]
     return {"rows": rows, "oracle_objective": data.oracle_objective,
             "support": data.support}
-
-
-# ---------------------------------------------------------------------------
-# timing benches
-# ---------------------------------------------------------------------------
-
-def time_partition(n_vertices: int, repeats: int = 3) -> float:
-    """Best-of-k partition wall time on a stem chain; the collector is paused
-    during the timed region so allocation sweeps do not pollute scaling."""
-    g = conv_chain(n_vertices)
-    best = float("inf")
-    for _ in range(repeats):
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            partition(g)
-            best = min(best, time.perf_counter() - t0)
-        finally:
-            gc.enable()
-    return best
-
-
-def run_runtime_bench(builder: str = "demo_net", epochs: int = 4,
-                      n_train: int = 2048, batch_size: int = 128,
-                      seed: int = 0, target_fraction: float = 0.5) -> dict:
-    """Per-epoch wall time, sparsity-inducing optimizer vs momentum SGD.
-
-    Identical data, batches, and epoch count; the sparsity run uses a short
-    period so its selection/projection machinery is active from epoch 1.
-    The first epoch is dropped from the means (cache warm-up).
-    """
-    results = {}
-    for mode in ("sgd", "dhspg"):
-        streams = rng_streams(seed)
-        cfg = ExperimentConfig(
-            graph={"builder": builder},
-            dataset={"kind": "synthetic-classification",
-                     "n_train": n_train, "n_test": 256},
-            optimizer=OptimizerConfig(mode=mode, lr_period_epochs=2,
-                                      default_penalty=0.05),
-            epochs=epochs, batch_size=batch_size, seed=seed,
-        )
-        g = build_experiment_graph(cfg, streams["params"])
-        part = partition(g)
-        data = build_dataset(cfg, streams["data"])
-        target = resolve_target_groups(part, dataclasses.replace(
-            cfg, target_zero_fraction=target_fraction)) if mode == "dhspg" else 0
-        _, rows = train_graph(g, part, data, cfg, streams["batches"],
-                              target_groups=target)
-        results[mode] = [r["epoch_seconds"] for r in rows]
-    sgd = float(np.mean(results["sgd"][1:]))
-    dhspg = float(np.mean(results["dhspg"][1:]))
-    return {"sgd_epoch_seconds": results["sgd"],
-            "dhspg_epoch_seconds": results["dhspg"],
-            "ratio": dhspg / sgd}

@@ -54,10 +54,6 @@ class ParamSlice:
     start: int
     stop: int
 
-    def __post_init__(self):
-        if self.stop <= self.start:
-            raise PartitionError(f"empty slice on vertex {self.vertex_id}")
-
 
 class GroupTable:
     """The parameter rows every group of one partition owns.
@@ -136,11 +132,7 @@ class PartitionResult:
     table: GroupTable = field(repr=False)
 
     def coloring(self) -> dict[int, int]:
-        out = {}
-        for ci, comp in enumerate(self.components):
-            for vid in comp.vertex_ids:
-                out[vid] = ci
-        return out
+        return {vid: ci for ci, comp in enumerate(self.components) for vid in comp.vertex_ids}
 
     def to_doc(self) -> dict:
         slices = self.table.slices()

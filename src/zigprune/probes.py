@@ -70,27 +70,6 @@ def default_probe(n_groups: int = 6, group_size: int = 4,
                           omega=omega, rho=rho)
 
 
-def _optimizer(probe: QuadraticProbe, amplify: float) -> DhspgOptimizer:
-    """The optimizer that trains, over the probe's groups, with the probe's
-    penalized groups marked, so the probes check the direction it takes."""
-    cfg = OptimizerConfig(default_penalty=probe.default_penalty,
-                          penalty_amplify=amplify, norm_floor=_NORM_FLOOR)
-    opt = DhspgOptimizer(np.zeros(probe.matrix.shape[0]), probe.groups, cfg)
-    opt.penalized[probe.penalized] = True
-    return opt
-
-
-def _gradient_and_direction(probe: QuadraticProbe, opt: DhspgOptimizer,
-                             x: np.ndarray):
-    """Gradient and direction at x; the optimizer's ``penalty`` and
-    ``cos_theta`` then hold each penalized group's choice."""
-    grad = probe.gradient(x)
-    xg = x[opt.idx]
-    x_sq = np.add.reduceat(xg * xg, opt.off)
-    opt.select_lambda(xg, grad[opt.idx], x_sq)
-    return grad, opt.direction(grad, xg, x_sq)
-
-
 def _penalty_root_bound(cos: float, grad_norm: float, lip: float,
                         alpha: float) -> float:
     """Largest penalty keeping the per-group slack term nonpositive."""
@@ -100,7 +79,49 @@ def _penalty_root_bound(cos: float, grad_norm: float, lip: float,
     return (lin + np.sqrt(disc)) / a2
 
 
-def _result(name, trials, failures, worst, resamples):
+def _penalized_groups(probe: QuadraticProbe, x: np.ndarray, d: np.ndarray):
+    """Each penalized group's (x_g, d_g, <x_g, -d_g>, ||d_g||^2)."""
+    for gi in probe.penalized:
+        idx = probe.groups[gi]
+        x_g, d_g = x[idx], d[idx]
+        yield x_g, d_g, float(x_g @ -d_g), float(d_g @ d_g)
+
+
+def _draw(probe: QuadraticProbe, name: str, trials: int, seed: int, amplify: float,
+          evaluate, worst: float = 0.0) -> dict:
+    """Check one inequality at ``trials`` random iterates.
+
+    At each iterate x the optimizer that trains, over the probe's groups
+    with its penalized groups marked, picks each penalized group's penalty
+    and builds the direction d. ``evaluate(x, grad, d, opt)`` returns
+    (value, failed) pairs, ``max_violation`` being the largest value, or
+    None when x breaks the inequality's hypothesis: x is then redrawn and
+    counted. ``opt.penalty`` and ``opt.cos_theta`` hold the choices at x.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = OptimizerConfig(default_penalty=probe.default_penalty,
+                          penalty_amplify=amplify, norm_floor=_NORM_FLOOR)
+    opt = DhspgOptimizer(np.zeros(probe.matrix.shape[0]), probe.groups, cfg)
+    opt.penalized[probe.penalized] = True
+    failures = resamples = done = 0
+    while done < trials:
+        x = rng.normal(size=probe.matrix.shape[0])
+        grad = probe.gradient(x)
+        xg = x[opt.idx]
+        x_sq = np.add.reduceat(xg * xg, opt.off)
+        opt.select_lambda(xg, grad[opt.idx], x_sq)
+        d = opt.direction(grad, xg, x_sq)
+        pairs = evaluate(x, grad, d, opt)
+        if pairs is None:
+            resamples += 1
+            if resamples > 100 * trials:
+                raise RuntimeError("probe hypothesis unattainable")
+            continue
+        for value, failed in pairs:
+            worst = max(worst, value)
+            if failed:
+                failures += 1
+        done += 1
     return {"name": name, "trials": trials, "failures": failures,
             "max_violation": worst, "resamples": resamples,
             "passed": failures == 0}
@@ -108,132 +129,85 @@ def _result(name, trials, failures, worst, resamples):
 
 def probe_sufficient_decrease(probe: QuadraticProbe, trials: int = 100,
                               seed: int = 0, amplify: float = 1.01) -> dict:
-    rng = np.random.default_rng(seed)
     lip = probe.lipschitz
     alpha = probe.step_fraction / lip
     np_idx = np.concatenate([probe.groups[g] for g in range(len(probe.groups))
                              if g not in probe.penalized])
-    opt = _optimizer(probe, amplify)
-    failures = 0
-    worst = 0.0
-    resamples = 0
-    done = 0
-    while done < trials:
-        x = rng.normal(size=probe.matrix.shape[0])
-        grad, d = _gradient_and_direction(probe, opt, x)
-        ok = all(
-            opt.penalty[gi] < _penalty_root_bound(
-                opt.cos_theta[gi], float(np.linalg.norm(grad[probe.groups[gi]])), lip, alpha)
-            for gi in probe.penalized)
-        if not ok:
-            resamples += 1
-            if resamples > 100 * trials:
-                raise RuntimeError("probe hypothesis unattainable")
-            continue
+
+    def evaluate(x, grad, d, opt):
+        if not all(
+                opt.penalty[gi] < _penalty_root_bound(
+                    opt.cos_theta[gi], float(np.linalg.norm(grad[probe.groups[gi]])), lip, alpha)
+                for gi in probe.penalized):
+            return None
         lhs = probe.value(x + alpha * d)
         rhs = probe.value(x) - (alpha - lip * alpha * alpha / 2.0) * \
             float(grad[np_idx] @ grad[np_idx])
         violation = lhs - rhs
-        worst = max(worst, violation)
-        if violation > 1e-12:
-            failures += 1
-        done += 1
-    return _result("sufficient_decrease", trials, failures, worst, resamples)
+        return [(violation, violation > 1e-12)]
+
+    return _draw(probe, "sufficient_decrease", trials, seed, amplify, evaluate)
 
 
 def probe_magnitude_decrease(probe: QuadraticProbe, trials: int = 100,
                              seed: int = 0) -> dict:
-    rng = np.random.default_rng(seed)
-    opt = _optimizer(probe, probe.penalty_amplify)
-    failures = 0
-    worst = -np.inf
-    for _ in range(trials):
-        x = rng.normal(size=probe.matrix.shape[0])
-        _, d = _gradient_and_direction(probe, opt, x)
-        for gi in probe.penalized:
-            idx = probe.groups[gi]
-            x_g, d_g = x[idx], d[idx]
-            b = float(x_g @ -d_g)
-            a = float(d_g @ d_g)
+    def evaluate(x, grad, d, opt):
+        pairs = []
+        for x_g, d_g, b, a in _penalized_groups(probe, x, d):
             if b <= 0 or a <= 0:
-                failures += 1  # penalty selection must make <x, -d> positive
+                # penalty selection must make <x, -d> positive
+                pairs.append((-np.inf, True))
                 continue
             for frac in (0.25, 0.5, 0.99):
                 alpha = frac * 2.0 * b / a
                 shrink = float(np.linalg.norm(x_g + alpha * d_g)) - \
                     float(np.linalg.norm(x_g))
-                worst = max(worst, shrink)
-                if shrink >= 0:
-                    failures += 1
-    return _result("magnitude_decrease", trials, failures, worst, 0)
+                pairs.append((shrink, shrink >= 0))
+        return pairs
+
+    return _draw(probe, "magnitude_decrease", trials, seed, probe.penalty_amplify,
+                 evaluate, worst=-np.inf)
 
 
 def probe_norm_update_identity(probe: QuadraticProbe, trials: int = 100,
                                seed: int = 0, tol: float = 1e-10) -> dict:
-    rng = np.random.default_rng(seed)
-    opt = _optimizer(probe, probe.penalty_amplify)
     omega = probe.omega
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.normal(size=probe.matrix.shape[0])
-        _, d = _gradient_and_direction(probe, opt, x)
-        for gi in probe.penalized:
-            idx = probe.groups[gi]
-            x_g, d_g = x[idx], d[idx]
-            b = float(x_g @ -d_g)
-            a = float(d_g @ d_g)
+
+    def evaluate(x, grad, d, opt):
+        pairs = []
+        for x_g, d_g, b, a in _penalized_groups(probe, x, d):
             alpha = omega * b / a
-            cos = float(x_g @ -d_g) / (np.linalg.norm(x_g) * np.linalg.norm(d_g))
+            cos = b / (np.linalg.norm(x_g) * np.linalg.norm(d_g))
             lhs = float(np.sum((x_g + alpha * d_g) ** 2))
             rhs = float(x_g @ x_g) * (1.0 + (omega * omega - 2.0 * omega) * cos * cos)
             residual = abs(lhs - rhs)
-            worst = max(worst, residual)
-            if residual > tol:
-                failures += 1
-    return _result("norm_update_identity", trials, failures, worst, 0)
+            pairs.append((residual, residual > tol))
+        return pairs
+
+    return _draw(probe, "norm_update_identity", trials, seed, probe.penalty_amplify,
+                 evaluate)
 
 
 def probe_contraction(probe: QuadraticProbe, trials: int = 100,
                       seed: int = 0) -> dict:
-    rng = np.random.default_rng(seed)
-    opt = _optimizer(probe, probe.penalty_amplify)
     omega, rho = probe.omega, probe.rho
     gamma_sq = (2.0 * omega - omega * omega) * rho * rho
     p_idx = np.concatenate([probe.groups[g] for g in probe.penalized])
-    failures = 0
-    worst = 0.0
-    resamples = 0
-    done = 0
-    while done < trials:
-        x = rng.normal(size=probe.matrix.shape[0])
-        _, d = _gradient_and_direction(probe, opt, x)
+
+    def evaluate(x, grad, d, opt):
         ratios = []
-        ok = True
-        for gi in probe.penalized:
-            idx = probe.groups[gi]
-            x_g, d_g = x[idx], d[idx]
-            b = float(x_g @ -d_g)
-            a = float(d_g @ d_g)
+        for x_g, d_g, b, a in _penalized_groups(probe, x, d):
             cos = b / max(np.linalg.norm(x_g) * np.linalg.norm(d_g), _NORM_FLOOR)
             if abs(cos) < rho or b <= 0:
-                ok = False
-                break
+                return None
             ratios.append(b / a)
-        if not ok:
-            resamples += 1
-            if resamples > 100 * trials:
-                raise RuntimeError("probe hypothesis unattainable")
-            continue
         alpha = omega * min(ratios)
         lhs = float(np.sum((x[p_idx] + alpha * d[p_idx]) ** 2))
         rhs = (1.0 - gamma_sq) * float(x[p_idx] @ x[p_idx])
         violation = lhs - rhs
-        worst = max(worst, violation)
-        if violation > 1e-12:
-            failures += 1
-        done += 1
-    return _result("contraction", trials, failures, worst, resamples)
+        return [(violation, violation > 1e-12)]
+
+    return _draw(probe, "contraction", trials, seed, probe.penalty_amplify, evaluate)
 
 
 def run_lemma_probes(probe: QuadraticProbe | None = None, trials: int = 100,

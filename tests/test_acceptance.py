@@ -20,14 +20,13 @@ from zigprune.harness import (
     ExperimentConfig,
     run_ablation_dhspg_vs_hspg,
     run_pipeline,
-    run_runtime_bench,
-    time_partition,
     train_regression,
 )
 from zigprune.partition import ParamSlice, partition, zero_group
 from zigprune.probes import default_probe, run_lemma_probes
 
-from test_compression import random_mask_ids, randomized
+from graphs import randomized, run_runtime_bench, time_partition
+from test_compression import random_mask_ids
 from test_engine import finite_difference_check
 
 pytestmark = pytest.mark.acceptance

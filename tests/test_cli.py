@@ -247,3 +247,31 @@ def test_train_rejects_a_graph_file_that_is_not_json(tmp_path, capsys):
                                 "output_dir": str(tmp_path / "run")}), encoding="utf-8")
     assert main(["train", str(path)]) == 2
     assert "graph.json" in capsys.readouterr().err
+
+
+# Each command and the outside JSON file it reads: "{f}" is that file, "{d}"
+# the run directory holding it, "{g}" a good graph file.
+READS = {
+    "partition": (["partition", "{f}"], "graph.json"),
+    "viz": (["viz", "{f}"], "graph.json"),
+    "viz_partition": (["viz", "{g}", "--partition", "{f}"], "part.json"),
+    "train": (["train", "{f}"], "exp.json"),
+    "ablate": (["ablate", "{f}"], "exp.json"),
+    "compress": (["compress", "{d}"], "config.json"),
+    "eval": (["eval", "{d}"], "config.json"),
+    "report": (["report", "{d}"], "metrics.json"),
+}
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
+@pytest.mark.parametrize("command", list(READS))
+def test_unreadable_json_file_exits_2_naming_it(graph_file, tmp_path, capsys, command,
+                                                content):
+    argv, name = READS[command]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    path = run_dir / name
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main([a.format(f=path, d=run_dir, g=graph_file) for a in argv]) == 2
+    assert repr(str(path)) in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zigprune import compression
-from zigprune.builders import BUILDERS, conv_chain, demo_net, random_small_dag
+from zigprune.builders import BUILDERS, demo_net
 from zigprune.compression import (
     build_channel_maps,
     compress,
@@ -16,13 +16,10 @@ from zigprune.compression import (
 )
 from zigprune.engine import EVAL_BATCH, forward
 from zigprune.errors import AllGroupsZeroInComponent, ConfigError
-from zigprune.graph import (
-    count_flops_params,
-    graphs_structurally_equal,
-    infer_shapes,
-    load_graph,
-)
+from zigprune.graph import count_flops_params, infer_shapes, load_graph
 from zigprune.partition import partition, zero_group
+
+from graphs import conv_chain, graphs_structurally_equal, random_small_dag, randomized
 
 
 def slice_view(g, s):
@@ -37,22 +34,6 @@ def slice_view(g, s):
 def group_is_zero(g, group):
     """Test-only oracle: every slice of the group is exactly zero."""
     return all(not slice_view(g, s).any() for s in group.slices)
-
-
-def randomized(g, rng):
-    """Non-default BN stats and biases so equivalence is a real check."""
-    for vx in g.vertices.values():
-        p = vx.params
-        if p is None:
-            continue
-        if p.gamma is not None:
-            p.gamma = rng.normal(1.0, 0.3, p.gamma.shape)
-            p.beta = rng.normal(0.0, 0.3, p.beta.shape)
-            p.running_mean = rng.normal(0.0, 0.5, p.running_mean.shape)
-            p.running_var = rng.uniform(0.5, 2.0, p.running_var.shape)
-        if p.bias is not None:
-            p.bias = rng.normal(0.0, 0.2, p.bias.shape)
-    return g
 
 
 def random_mask_ids(part, rng, frac=0.5):
@@ -169,7 +150,6 @@ def test_channel_map_flatten_block_expansion():
 def test_channel_table_matches_pruned_shapes():
     # every vertex's map is as wide as its pruned output, and the output's
     # predecessor keeps every channel, on the builders and random DAGs
-    from zigprune.builders import random_small_dag
     rng = np.random.default_rng(41)
     graphs = [make(seed=17) for _, make in sorted(BUILDERS.items())]
     graphs += [random_small_dag(rng) for _ in range(30)]
@@ -391,7 +371,6 @@ def test_idempotent_on_compressed_graph():
 
 
 def test_equivalence_on_random_dags():
-    from zigprune.builders import random_small_dag
     rng = np.random.default_rng(31)
     checked = 0
     for _ in range(30):
@@ -493,7 +472,6 @@ def zero_at_random(g, part, rng):
 
 
 def test_detect_zero_groups_matches_group_is_zero():
-    from zigprune.builders import random_small_dag
     rng = np.random.default_rng(31)
     graphs = [make(seed=s) for make in BUILDERS.values() for s in range(5)]
     graphs += [random_small_dag(rng) for _ in range(200)]

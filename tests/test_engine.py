@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zigprune import engine, ops
-from zigprune.builders import BUILDERS, demo_net, random_small_dag
+from zigprune.builders import BUILDERS, demo_net
 from zigprune.engine import (EVAL_BATCH, _loss_and_grad, accuracy, backward, evaluate_loss,
                              forward)
 from zigprune.errors import GraphError, ShapeMismatch
@@ -19,6 +19,8 @@ from zigprune.graph import build_graph, infer_shapes, init_params
 from zigprune.harness import evaluate_graph
 from zigprune.ops import Add, AvgPool, BatchNorm, Mul, ReLU, _sample_blocks
 from zigprune.paramvec import ParamIndex
+
+from graphs import random_small_dag
 
 
 def loop_conv2d(x, weight, bias, k, stride, pad):

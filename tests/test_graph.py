@@ -3,14 +3,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from zigprune.builders import (
-    BUILDERS,
-    conv_chain,
-    demo_net,
-    random_small_dag,
-    residual_block_net,
-    stacked_unets_mini,
-)
+from zigprune.builders import BUILDERS, demo_net, residual_block_net, stacked_unets_mini
 from zigprune.errors import (
     CycleDetected,
     DanglingEdge,
@@ -26,9 +19,10 @@ from zigprune.graph import (
     count_flops_params,
     export_dot,
     graph_to_doc,
-    graphs_structurally_equal,
     infer_shapes,
 )
+
+from graphs import conv_chain, graphs_structurally_equal, random_small_dag
 
 
 def single_linear_doc():

@@ -10,7 +10,7 @@ from zigprune.dhspg import OptimizerConfig
 from zigprune.datasets import ClassificationData, GroupSparseProblem
 from zigprune.engine import backward, forward
 from zigprune.errors import ConfigError, TrainingDiverged
-from zigprune.graph import graphs_structurally_equal, infer_shapes, load_graph
+from zigprune.graph import infer_shapes, load_graph
 from zigprune.harness import (
     ExperimentConfig,
     evaluate_graph,
@@ -18,11 +18,12 @@ from zigprune.harness import (
     run_ablation_dhspg_vs_hspg,
     run_pipeline,
     rng_streams,
-    time_partition,
     train_graph,
 )
 from zigprune.partition import partition
 from zigprune.builders import demo_net, residual_block_net
+
+from graphs import graphs_structurally_equal, time_partition
 
 
 def small_cfg(tmp_path, name, **over):

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zigprune.builders import BUILDERS, conv_chain, random_small_dag
+from zigprune.builders import BUILDERS
 from zigprune.graph import build_graph, infer_shapes, init_params
 from zigprune.paramvec import ParamIndex
 from zigprune.partition import partition
+
+from graphs import conv_chain, random_small_dag
 
 # input (8) -> linear (no bias) -> relu -> linear (no bias) -> output: the
 # first linear's 4000 rows are 4000 groups of 8 variables in one component

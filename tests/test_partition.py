@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from zigprune.builders import (conv_chain, demo_net, random_small_dag, residual_block_net,
-                               stacked_unets_mini)
+from zigprune.builders import demo_net, residual_block_net, stacked_unets_mini
 from zigprune.compression import compress, make_mask, verify_equivalence
 from zigprune.engine import forward
 from zigprune.errors import GraphError, InconsistentStemWidths
@@ -19,6 +18,7 @@ from zigprune.partition import (
     zero_group,
 )
 
+from graphs import random_small_dag, randomized, time_partition
 from test_compression import slice_view
 
 
@@ -439,19 +439,6 @@ def test_inconsistent_stem_widths_raises():
 def test_zero_invariance_against_compression():
     # zeroing any single group == structurally removing it; every group gets
     # exercised across 20 random parameter settings per architecture
-    def randomize(g, rng):
-        for vx in g.vertices.values():
-            p = vx.params
-            if p is None:
-                continue
-            if p.gamma is not None:
-                p.gamma = rng.normal(1.0, 0.3, p.gamma.shape)
-                p.beta = rng.normal(0.0, 0.3, p.beta.shape)
-                p.running_mean = rng.normal(0.0, 0.5, p.running_mean.shape)
-                p.running_var = rng.uniform(0.5, 2.0, p.running_var.shape)
-            if p.bias is not None:
-                p.bias = rng.normal(0.0, 0.2, p.bias.shape)
-
     for make in (demo_net, residual_block_net, stacked_unets_mini):
         rng = np.random.default_rng(13)
         n_groups = len(partition(make()).zigs)
@@ -462,7 +449,7 @@ def test_zero_invariance_against_compression():
             if not picks:
                 break
             g = make(seed=int(rng.integers(1 << 30)))
-            randomize(g, rng)
+            randomized(g, rng)
             part = partition(g)
             xs = [rng.normal(size=(2, *s[1:])) for s in g.input_shapes]
             for gi in picks:
@@ -478,8 +465,6 @@ def test_zero_invariance_against_compression():
 
 
 def test_partition_runtime_scales_linearly():
-    from zigprune.harness import time_partition
-
     time_partition(100)  # warm caches
     t1k = time_partition(1000)
     t3k = time_partition(3000)
