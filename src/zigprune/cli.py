@@ -19,19 +19,19 @@ import json
 import os
 import sys
 
-from .compression import verify_equivalence
 from .datasets import GroupSparseProblem, dataset_spec
-from .errors import ConfigError, Count, ZigpruneError, check_fields, read_json
+from .errors import ConfigError, Count, ZigpruneError, check_fields, read_json, write_json
 from .graph import export_dot, infer_shapes, load_graph
 from .harness import (
     ExperimentConfig,
     build_dataset,
+    check_equivalence,
+    check_metrics,
     compress_and_verify,
     evaluate_graph,
     rng_streams,
     run_ablation_dhspg_vs_hspg,
     run_pipeline,
-    write_json,
 )
 from .partition import partition
 from .probes import default_probe, run_lemma_probes
@@ -43,12 +43,11 @@ def _load_run_config(run_dir: str) -> ExperimentConfig:
 
 def cmd_partition(args) -> int:
     g = infer_shapes(load_graph(args.graph))
-    text = partition(g).to_json()
+    doc = partition(g).to_doc()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(args.out, doc)
     else:
-        print(text)
+        print(json.dumps(doc, indent=1))
     return 0
 
 
@@ -78,9 +77,7 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args.run_dir)
     g = infer_shapes(load_graph(os.path.join(args.run_dir, "graph_full.json")))
     small = infer_shapes(load_graph(os.path.join(args.run_dir, "graph_compressed.json")))
-    equiv = verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
-                               tol=cfg.equivalence_tol,
-                               rng=rng_streams(cfg.seed)["equivalence"])
+    equiv = check_equivalence(g, small, cfg)
     data = build_dataset(cfg, rng_streams(cfg.seed)["data"])
     loss_full, acc_full = evaluate_graph(g, data.x_test, data.y_test, cfg.loss)
     loss_small, acc_small = evaluate_graph(small, data.x_test, data.y_test, cfg.loss)
@@ -118,7 +115,7 @@ def cmd_viz(args) -> int:
 
 
 def cmd_report(args) -> int:
-    m = read_json(os.path.join(args.run_dir, "metrics.json"), "metrics")
+    m = check_metrics(read_json(os.path.join(args.run_dir, "metrics.json"), "metrics"))
     print(f"FLOPs: {m['flops_compressed']} / {m['flops_full']} "
           f"({m['flops_ratio']:.1%})")
     print(f"params: {m['params_compressed']} / {m['params_full']} "

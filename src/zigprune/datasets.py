@@ -136,28 +136,34 @@ def gen_synthetic_classification(
 
 def _read_label_pixel_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows of label,pixel...; the first non-empty row is a header when its
-    label is not an integer."""
+    label is not an integer. A ConfigError names the path when the file
+    cannot be read, and the line of a row that is not a sample."""
     labels = []
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(row for row in reader if row):
-            where = f"{path}, line {reader.line_num}"
-            try:
-                label = int(row[0])
-            except ValueError:
-                if i == 0:
-                    continue  # header row
-                raise ConfigError(f"{where}: label {row[0]!r} is not an integer") from None
-            try:
-                pixels = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ConfigError(f"{where}: a pixel is not a number ({exc})") from None
-            if rows and len(pixels) != len(rows[0]):
-                raise ConfigError(f"{where}: {len(pixels)} pixels, but the first "
-                                  f"row has {len(rows[0])}")
-            labels.append(label)
-            rows.append(pixels)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for i, row in enumerate(row for row in reader if row):
+                where = f"{path}, line {reader.line_num}"
+                try:
+                    label = int(row[0])
+                except ValueError:
+                    if i == 0:
+                        continue  # header row
+                    raise ConfigError(f"{where}: label {row[0]!r} is not an integer") from None
+                if label < 0:
+                    raise ConfigError(f"{where}: label {label} is negative")
+                try:
+                    pixels = [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: a pixel is not a number ({exc})") from None
+                if rows and len(pixels) != len(rows[0]):
+                    raise ConfigError(f"{where}: {len(pixels)} pixels, but the first "
+                                      f"row has {len(rows[0])}")
+                labels.append(label)
+                rows.append(pixels)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from None
     x = np.asarray(rows, dtype=float)
     return x, np.asarray(labels, dtype=int)
 

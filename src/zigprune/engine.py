@@ -146,16 +146,15 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     xs = _as_batch_list(g, inputs)
-    out_id = g.output_id if g.output_id is not None else g.topo_order[-1]
     n = len(xs[0])
     if mode == "train":
         if not n:
             raise ShapeMismatch("a train-mode forward needs a sample; the batch is empty")
-        out, vcaches = _walk(g, xs, out_id, mode)
-        return out, {"out": out, "vcaches": vcaches, "out_id": out_id}
+        out, vcaches = _walk(g, xs, g.output_id, mode)
+        return out, {"out": out, "vcaches": vcaches, "out_id": g.output_id}
     if n <= EVAL_BATCH:
-        return _walk(g, xs, out_id, mode)[0], None
-    outs = [_walk(g, [x[lo:lo + EVAL_BATCH] for x in xs], out_id, mode)[0]
+        return _walk(g, xs, g.output_id, mode)[0], None
+    outs = [_walk(g, [x[lo:lo + EVAL_BATCH] for x in xs], g.output_id, mode)[0]
             for lo in range(0, n, EVAL_BATCH)]
     return np.concatenate(outs), None
 

@@ -1,6 +1,7 @@
 """Exception types raised across the toolkit, the one reader of every JSON
-file from outside the program, and the one check of every document read:
-each value against its annotation."""
+file from outside the program and the one writer of every JSON file the
+program writes, and the one check of every document read: each value
+against its annotation."""
 
 import functools
 import json
@@ -183,3 +184,11 @@ def read_json(path, what: str):
             return json.load(fh)
     except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from None
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as compact JSON in one write: ``json.dumps``
+    encodes with CPython's C encoder, which ``json.dump`` and ``indent`` lose."""
+    text = json.dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

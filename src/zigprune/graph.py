@@ -40,14 +40,13 @@ naming the vertex and the field.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import (CycleDetected, DanglingEdge, GraphError, Size, UnknownKindString,
-                     check_fields, check_value, field_types, read_json)
+                     check_fields, check_value, field_types, read_json, write_json)
 # The op kinds, their categories and ParameterSet are re-exported from here.
 from .ops import (ACCESSORY, KINDS, OUTPUT, SD_JOINT, SID_JOINT, STEM,  # noqa: F401
                   TRAINABLE_ROLES, UNKNOWN, Add, AvgPool, BatchNorm, Concat, Conv2d,
@@ -108,8 +107,10 @@ class ComputationGraph:
         )
         for v in self.input_ids:
             self.input_binding.setdefault(v, 0)
-        self.output_id = next((v for v, vx in self.vertices.items()
-                               if vx.category == OUTPUT), None)
+        # the vertex whose output the graph returns: the output vertex if
+        # there is one, else the last in topological order
+        self.output_id = next((v for v, vx in self.vertices.items() if vx.category == OUTPUT),
+                              self.topo_order[-1] if self.topo_order else None)
 
     def _toposort(self) -> list[int]:
         indeg = {v: len(self.preds[v]) for v in self.vertices}
@@ -318,10 +319,7 @@ def graph_to_doc(g: ComputationGraph, include_params: bool = True) -> dict:
 
 
 def save_graph(g: ComputationGraph, path) -> None:
-    # json.dumps uses the C encoder; json.dump streams through the Python one
-    text = json.dumps(graph_to_doc(g))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_json(path, graph_to_doc(g))
 
 
 def load_graph(path) -> ComputationGraph:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Annotated, Optional
 
 import numpy as np
@@ -37,7 +37,8 @@ from .datasets import (
 from .dhspg import DhspgOptimizer, OptimizerConfig
 from .engine import EVAL_BATCH, accuracy, backward, evaluate_loss, forward
 from .errors import (AllGroupsZeroInComponent, ConfigError, Count, NonNegative, Size,
-                     TrainingDiverged, check_fields, check_value, field_types, read_json)
+                     TrainingDiverged, check_fields, check_value, field_types, read_json,
+                     write_json)
 from .graph import count_flops_params, infer_shapes, init_params, load_graph, save_graph
 from .paramvec import ParamIndex
 from .partition import PartitionResult, partition
@@ -116,13 +117,14 @@ def resolve_target_groups(part: PartitionResult, cfg: ExperimentConfig) -> int:
 
 def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generator):
     spec = check_fields(cfg.graph, GRAPH_SPEC, "graph")
+    if len(spec) != 1:
+        raise ConfigError(f"graph spec needs exactly one of 'builder' and 'path', "
+                          f"got {sorted(spec)}")
     if "builder" in spec:
         g = BUILDERS[spec["builder"]]()
         init_params(g, rng_params)
         return g
-    if "path" in spec:
-        return infer_shapes(load_graph(spec["path"]))
-    raise ConfigError("graph spec needs 'builder' or 'path'")
+    return infer_shapes(load_graph(spec["path"]))
 
 
 def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> ClassificationData:
@@ -307,9 +309,12 @@ class PipelineResult:
     output_dir: str
 
 
-def write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+def check_equivalence(g, small, cfg: ExperimentConfig) -> dict:
+    """``verify_equivalence`` of g and its compressed graph with the run's
+    trials, tolerance and equivalence stream."""
+    return verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
+                              tol=cfg.equivalence_tol,
+                              rng=rng_streams(cfg.seed)["equivalence"])
 
 
 def compress_and_verify(g, part: PartitionResult, cfg: ExperimentConfig, output_dir: str):
@@ -333,11 +338,37 @@ def compress_and_verify(g, part: PartitionResult, cfg: ExperimentConfig, output_
         "flops_compressed": flops_small, "params_compressed": params_small,
     }
     write_json(os.path.join(output_dir, "compression.json"), sizes)
-    equiv = verify_equivalence(g, small, n_trials=cfg.equivalence_trials,
-                               tol=cfg.equivalence_tol,
-                               rng=rng_streams(cfg.seed)["equivalence"])
+    equiv = check_equivalence(g, small, cfg)
     write_json(os.path.join(output_dir, "equivalence.json"), equiv)
     return small, mask, sizes, equiv
+
+
+# metrics.json as run_pipeline writes it, every key required; a Real may be
+# NaN (no epoch ran) or infinite (a diff that overflowed), as json writes them.
+EQUIVALENCE_DOC = {"n_trials": Size, "tol": NonNegative, "max_abs_diff": Real,
+                   "max_rel_diff": Real, "passed": bool}
+EPOCH_ROW = {**dict.fromkeys(TRAIN_LOG_COLUMNS, Real),
+             "epoch": Count, "zero_groups": Count, "train_flops": Count}
+METRICS_DOC = {
+    "flops_full": Count, "params_full": Count, "flops_compressed": Count,
+    "params_compressed": Count, "flops_ratio": Real, "params_ratio": Real,
+    "target_zero_groups": Count, "zero_groups": Count, "target_met": bool,
+    "group_sparsity": Real, "final_test_loss": Real, "final_test_accuracy": Real,
+    "compressed_test_loss": Real, "compressed_test_accuracy": Real,
+    "mean_epoch_seconds": Real, "equivalence": dict, "epochs": list[dict],
+}
+
+
+def check_metrics(doc) -> dict:
+    """``doc`` checked as a metrics.json document; a ConfigError names the
+    first key missing or of the wrong type, in ``equivalence`` and in each
+    ``epochs`` row too."""
+    doc = check_fields(doc, METRICS_DOC, "metrics", required=tuple(METRICS_DOC))
+    check_fields(doc["equivalence"], EQUIVALENCE_DOC, "metrics 'equivalence'",
+                 required=tuple(EQUIVALENCE_DOC))
+    for i, row in enumerate(doc["epochs"]):
+        check_fields(row, EPOCH_ROW, f"metrics 'epochs'[{i}]", required=tuple(EPOCH_ROW))
+    return doc
 
 
 def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
@@ -349,22 +380,29 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     Writes partition.json, training_log.csv, graph_full.json,
     graph_compressed.json, compression.json, equivalence.json, metrics.json
     and a copy of the config into the output directory, which is made only
-    once the config is checked, the graph, target and dataset are built and
-    the warm-up and projection steps are resolved.
+    once the config is checked, the graph, target and dataset are built, the
+    labels fit the graph's output and the warm-up and projection steps are
+    resolved. The loss must be cross-entropy: no dataset kind it trains on
+    holds the per-output targets mse needs.
     """
     cfg = ExperimentConfig.from_doc(cfg.to_doc())
+    if cfg.loss != "cross_entropy":
+        raise ConfigError(f"config 'loss' {cfg.loss!r} needs per-output targets, "
+                          "which no trainable dataset kind holds")
     streams = rng_streams(cfg.seed)
     g = build_experiment_graph(cfg, streams["params"])
     part = partition(g)
     target = resolve_target_groups(part, cfg)
     data = build_dataset(cfg, streams["data"])
+    width = g.vertices[g.output_id].out_shape[1]
+    if data.n_classes > width:
+        raise ConfigError(f"config 'dataset' has {data.n_classes} classes, more than the "
+                          f"{width} outputs of config 'graph'")
     cfg.optimizer.resolved(math.ceil(len(data.x_train) / cfg.batch_size))  # checks the steps
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
-    with open(os.path.join(cfg.output_dir, "partition.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(part.to_json())
+    write_json(os.path.join(cfg.output_dir, "partition.json"), part.to_doc())
     opt, rows = train_graph(g, part, data, cfg, streams["batches"],
                             target_groups=target)
     write_training_log(os.path.join(cfg.output_dir, "training_log.csv"), rows)

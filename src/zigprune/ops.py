@@ -221,6 +221,12 @@ class OpKind:
         None to narrow the kind alone."""
         return self, params
 
+    def channel_codes(self, codes: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
+        """An accessory's channel codes (see ``partition._channel_origins``),
+        one per output channel or feature, from its input's, whose shape is
+        ``in_shape``."""
+        return codes
+
 
 @dataclass(frozen=True)
 class Conv2d(OpKind):
@@ -581,6 +587,10 @@ class Flatten(OpKind):
 
     def backward(self, params, cache, dout, grads, need_dx=True, memo=None):
         return [dout.reshape(cache["x_shape"])]
+
+    def channel_codes(self, codes, in_shape):
+        _, _, h, w = in_shape
+        return np.repeat(codes, h * w)  # channel-major, as forward flattens
 
 
 @dataclass(frozen=True)

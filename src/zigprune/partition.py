@@ -19,7 +19,6 @@ components containing unknown vertices or whose channels reach one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +28,6 @@ from .errors import GraphError, InconsistentStemWidths, PartitionError
 from .graph import (
     ACCESSORY,
     ComputationGraph,
-    Flatten,
     OUTPUT,
     SD_JOINT,
     SID_JOINT,
@@ -168,9 +166,6 @@ class PartitionResult:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=1)
-
 
 def zero_group(g: ComputationGraph, group: ZeroInvariantGroup) -> None:
     """Zero every parameter row the group owns in ``group.table``."""
@@ -236,9 +231,9 @@ def _channel_origins(g: ComputationGraph, comp_of: dict[int, int],
     keeps a channel unless its group is zero.
     A channel is an integer code: channel j of the stems of component ci is
     ``base[ci] + j``, and -1 marks a channel no stem controls (raw input,
-    unknown op output). After a Flatten, entries are per flat feature (each
-    channel repeated height*width times). ``comp_of`` maps each vertex to
-    its component.
+    unknown op output). An accessory maps its input's codes to its output's
+    (``OpKind.channel_codes``): after a Flatten, entries are per flat
+    feature. ``comp_of`` maps each vertex to its component.
     """
     origins: dict[int, np.ndarray] = {}
     for vid in g.topo_order:
@@ -253,11 +248,7 @@ def _channel_origins(g: ComputationGraph, comp_of: dict[int, int],
             origins[vid] = np.full(vx.out_shape[1], -1)
         elif cat == ACCESSORY:
             src = g.preds[vid][0]
-            if isinstance(vx.kind, Flatten):
-                _, _, h, w = g.vertices[src].out_shape
-                origins[vid] = np.repeat(origins[src], h * w)
-            else:
-                origins[vid] = origins[src]
+            origins[vid] = vx.kind.channel_codes(origins[src], g.vertices[src].out_shape)
         elif cat == SD_JOINT:
             first, *others = (origins[p] for p in g.joint_input_order(vid))
             if any(not np.array_equal(other, first) for other in others):

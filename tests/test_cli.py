@@ -220,11 +220,16 @@ def test_train_accepts_zero_epochs(tmp_path, monkeypatch):
     ({"equivalence_tol": -1}, None, "'equivalence_tol'"),
     ({"graph": {"path": 5}}, None, "'path'"),
     ({"optimizer": {"warmup_steps": 500}}, None, "'warmup_steps'"),
+    ({"loss": "mse"}, None, "'loss' 'mse'"),
+    ({"graph": {"builder": "demo_net", "path": "no_such_graph.json"}, "epochs": 0,
+      "dataset": {"kind": "synthetic-classification", "n_train": 32, "n_test": 16}},
+     None, "exactly one of 'builder' and 'path'"),
 ], ids=["seed", "seed_two_signs", "batch_size", "synthetic_key", "csv_dir", "config_seed",
         "epochs", "negative_n_train", "graph_path", "loss", "fraction_str", "noise_str",
         "image_int", "lr_str", "momentum_str", "lr_period_zero", "tol_str", "output_dir_int",
         "graph_int", "csv_dir_int", "amplify_str", "salience_null", "negative_warmup",
-        "negative_tol", "graph_path_int", "warmup_after_default_projection"])
+        "negative_tol", "graph_path_int", "warmup_after_default_projection", "mse_loss",
+        "builder_and_path"])
 def test_train_rejects_bad_outside_config(tmp_path, monkeypatch, capsys, doc, env_seed,
                                           needle):
     if env_seed is None:
@@ -275,3 +280,67 @@ def test_unreadable_json_file_exits_2_naming_it(graph_file, tmp_path, capsys, co
         path.write_text(content, encoding="utf-8")
     assert main([a.format(f=path, d=run_dir, g=graph_file) for a in argv]) == 2
     assert repr(str(path)) in capsys.readouterr().err
+
+
+def write_csv_run(tmp_path, train_rows, test_rows):
+    """An experiment file training a 4-output linear graph on 2x2 image-csv
+    files holding the given rows; a rows value of None leaves its file out,
+    and bytes are written as they are."""
+    (tmp_path / "graph.json").write_text(json.dumps({
+        "input_shapes": [[1, 1, 2, 2]],
+        "vertices": [{"id": 0, "op": "flatten"},
+                     {"id": 1, "op": "linear", "in_features": 4, "out_features": 4},
+                     {"id": 2, "op": "output"}],
+        "edges": [[0, 1], [1, 2]]}), encoding="utf-8")
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, rows in (("train.csv", train_rows), ("test.csv", test_rows)):
+        if isinstance(rows, bytes):
+            (data / name).write_bytes(rows)
+        elif rows is not None:
+            (data / name).write_text("".join(f"{r},1,2,3,4\n" for r in rows), encoding="utf-8")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "graph": {"path": str(tmp_path / "graph.json")},
+        "dataset": {"kind": "image-csv", "dir": str(data)},
+        "epochs": 1, "batch_size": 2, "output_dir": str(tmp_path / "run")}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("test_rows, needle", [
+    (None, "test.csv"),
+    (b"0,1,2,3,4\n\xff\xfe,1,2,3,4\n", "test.csv"),
+    ([0, 4], "config 'dataset' has 5 classes, more than the 4 outputs"),
+], ids=["missing", "not_utf8", "label_beyond_outputs"])
+def test_train_rejects_image_csv_files_the_graph_cannot_train_on(tmp_path, monkeypatch,
+                                                                   capsys, test_rows, needle):
+    monkeypatch.delenv("ZIGPRUNE_SEED", raising=False)
+    assert main(["train", write_csv_run(tmp_path, [0, 1, 2, 3], test_rows)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_train_accepts_image_csv_labels_within_the_outputs(tmp_path, monkeypatch):
+    monkeypatch.delenv("ZIGPRUNE_SEED", raising=False)
+    assert main(["train", write_csv_run(tmp_path, [0, 1, 2, 3], [3, 0])]) == 0
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda m: [1, 2], "metrics must be a dict, got [1, 2]"),
+    (lambda m: {"flops_full": 1}, "metrics 'params_full' is required"),
+    (lambda m: {**m, "flops_ratio": "x"}, "metrics 'flops_ratio'"),
+    (lambda m: {**m, "equivalence": {**m["equivalence"], "max_abs_diff": None}},
+     "metrics 'equivalence' 'max_abs_diff'"),
+    (lambda m: {**m, "epochs": [{k: v for k, v in m["epochs"][0].items() if k != "epoch"}]},
+     "metrics 'epochs'[0] 'epoch' is required"),
+    (lambda m: {**m, "epochs": [{**m["epochs"][0], "train_flops": 1.5}]},
+     "metrics 'epochs'[0] 'train_flops'"),
+], ids=["list", "one_key", "ratio_str", "diff_null", "row_without_epoch", "float_flops"])
+def test_report_rejects_a_bad_metrics_document(trained_run, tmp_path, capsys, edit, needle):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run[0], run_dir)
+    metrics = run_dir / "metrics.json"
+    metrics.write_text(json.dumps(edit(json.loads(metrics.read_text(encoding="utf-8")))),
+                       encoding="utf-8")
+    assert main(["report", str(run_dir)]) == 2
+    assert needle in capsys.readouterr().err

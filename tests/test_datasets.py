@@ -107,7 +107,8 @@ def test_image_csv_without_samples_is_a_config_error(tmp_path):
     ("1,1,2,x,4", "a pixel is not a number"),
     ("cat,1,2,3,4", "label 'cat' is not an integer"),
     ("1.0,1,2,3,4", "label '1.0' is not an integer"),
-], ids=["ragged", "not_a_number", "word_label", "float_label"])
+    ("-1,1,2,3,4", "label -1 is negative"),
+], ids=["ragged", "not_a_number", "word_label", "float_label", "negative_label"])
 def test_image_csv_with_a_malformed_row_is_a_config_error(tmp_path, bad_row, needle):
     (tmp_path / "train.csv").write_text(f"label,p0,p1,p2,p3\n0,1,2,3,4\n{bad_row}\n",
                                         encoding="utf-8")
