@@ -4,7 +4,7 @@
     zigprune train <exp.json>                    full pipeline into a run dir
     zigprune compress <run-dir>                  re-run surgery on a run dir
     zigprune eval <run-dir>                      re-check equivalence + metrics
-    zigprune viz <graph.json> [--partition p]    DOT to stdout
+    zigprune viz <graph.json>                    DOT to stdout
     zigprune report <run-dir>                    summarize metrics.json
     zigprune ablate <exp.json>                   exact-count vs coefficient sweep
     zigprune probes                              numeric property probes
@@ -20,7 +20,7 @@ import os
 import sys
 
 from .datasets import GroupSparseProblem, dataset_spec
-from .errors import ConfigError, Count, ZigpruneError, check_fields, read_json, write_json
+from .errors import ConfigError, ZigpruneError, read_json, write_json
 from .graph import export_dot, infer_shapes, load_graph
 from .harness import (
     ExperimentConfig,
@@ -89,28 +89,9 @@ def cmd_eval(args) -> int:
     return 0 if equiv["passed"] else 1
 
 
-# The keys of a partition document (PartitionResult.to_doc) and of each of
-# its components; viz reads the components' ids and vertices.
-PARTITION_DOC = {"components": list[dict], "groups": list[dict],
-                 "excluded_components": list[dict]}
-COMPONENT_DOC = {"id": Count, "vertices": list[Count], "stems": list[Count],
-                 "accessories": list[Count], "contains_unknown": bool,
-                 "adjacent_to_output": bool, "groups": Count}
-
-
 def cmd_viz(args) -> int:
     g = infer_shapes(load_graph(args.graph))
-    if args.partition:
-        doc = check_fields(read_json(args.partition, "partition"), PARTITION_DOC, "partition",
-                           required=("components",))
-        coloring = {}
-        for i, comp in enumerate(doc["components"]):
-            comp = check_fields(comp, COMPONENT_DOC, f"partition component {i}",
-                                required=("id", "vertices"))
-            coloring.update(dict.fromkeys(comp["vertices"], comp["id"]))
-    else:
-        coloring = partition(g).coloring()
-    print(export_dot(g, coloring))
+    print(export_dot(g, partition(g).coloring()))
     return 0
 
 
@@ -194,7 +175,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("viz", help="emit DOT with component coloring")
     p.add_argument("graph")
-    p.add_argument("--partition")
     p.set_defaults(func=cmd_viz)
 
     p = sub.add_parser("report", help="print a run's metrics report")

@@ -137,11 +137,12 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
 
     A train-mode forward of an empty batch is a ShapeMismatch. Eval mode
     walks the batch ``EVAL_BATCH`` samples at a time, every graph input
-    sliced alike, each walk with its own memo, and concatenates the outputs;
-    a batch of at most ``EVAL_BATCH`` samples is one walk with no copy. Each
-    op's cache is dropped as the op returns, and an op may write its output
-    into a dead input that nothing live shares (``_owns``); no train walk
-    writes an activation, and no walk writes the caller's arrays.
+    sliced alike, each walk with its own memo, and copies each walk's output
+    into one array as the walk returns, so no chunk output stays live across
+    walks; a batch of at most ``EVAL_BATCH`` samples is one walk with no
+    copy. Each op's cache is dropped as the op returns, and an op may write
+    its output into a dead input that nothing live shares (``_owns``); no
+    train walk writes an activation, and no walk writes the caller's arrays.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -154,9 +155,13 @@ def forward(g: ComputationGraph, inputs, mode: str = "train"):
         return out, {"out": out, "vcaches": vcaches, "out_id": g.output_id}
     if n <= EVAL_BATCH:
         return _walk(g, xs, g.output_id, mode)[0], None
-    outs = [_walk(g, [x[lo:lo + EVAL_BATCH] for x in xs], g.output_id, mode)[0]
-            for lo in range(0, n, EVAL_BATCH)]
-    return np.concatenate(outs), None
+    out = None
+    for lo in range(0, n, EVAL_BATCH):
+        chunk = _walk(g, [x[lo:lo + EVAL_BATCH] for x in xs], g.output_id, mode)[0]
+        if out is None:
+            out = np.empty((n, *chunk.shape[1:]), chunk.dtype)
+        out[lo:lo + len(chunk)] = chunk
+    return out, None
 
 
 def _loss_terms(out: np.ndarray, loss: str, targets):

@@ -35,11 +35,11 @@ from .datasets import (
     minibatches,
 )
 from .dhspg import DhspgOptimizer, OptimizerConfig
-from .engine import EVAL_BATCH, accuracy, backward, evaluate_loss, forward
+from .engine import accuracy, backward, evaluate_loss, forward
 from .errors import (AllGroupsZeroInComponent, ConfigError, Count, NonNegative, Size,
                      TrainingDiverged, check_fields, check_value, field_types, read_json,
                      write_json)
-from .graph import count_flops_params, infer_shapes, init_params, load_graph, save_graph
+from .graph import STEM, build_graph, count_flops_params, infer_shapes, init_params, save_graph
 from .paramvec import ParamIndex
 from .partition import PartitionResult, partition
 
@@ -124,7 +124,14 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
         g = BUILDERS[spec["builder"]]()
         init_params(g, rng_params)
         return g
-    return infer_shapes(load_graph(spec["path"]))
+    doc = read_json(spec["path"], "graph")
+    g = infer_shapes(build_graph(doc))
+    for vdoc in doc.get("vertices", []):
+        vx = g.vertices[vdoc["id"]]
+        if vx.category == STEM and "weight" not in (vdoc.get("params") or {}):
+            raise ConfigError(f"config 'graph' path {spec['path']!r}: vertex {vx.id} "
+                              f"({vx.kind.op}) gives no 'weight' to train from")
+    return g
 
 
 def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> ClassificationData:
@@ -150,21 +157,13 @@ def build_dataset(cfg: ExperimentConfig, rng_data: np.random.Generator) -> Class
 # graph training
 # ---------------------------------------------------------------------------
 
-def evaluate_graph(g, x, y, loss: str, batch: int = EVAL_BATCH):
-    """(mean loss, accuracy) of g on (x, y); accuracy is nan unless the loss
-    is cross-entropy. ``batch`` groups the loss sum only: each group is one
-    eval-mode forward, which walks ``EVAL_BATCH`` samples at a time."""
-    total_loss = 0.0
-    hits = 0.0
-    n = x.shape[0]
-    for lo in range(0, n, batch):
-        xs = x[lo:lo + batch]
-        ys = y[lo:lo + batch]
-        out = forward(g, xs, mode="eval")[0]
-        total_loss += evaluate_loss(out, loss, ys) * len(xs)
-        if loss == "cross_entropy":
-            hits += accuracy(out, ys) * len(xs)
-    return total_loss / n, (hits / n if loss == "cross_entropy" else float("nan"))
+def evaluate_graph(g, x, y, loss: str, batch=None):
+    """(mean loss, accuracy) of g on (x, y) from one eval-mode forward;
+    accuracy is nan unless the loss is cross-entropy. ``batch`` has no
+    effect: perfbench's deep_resnet_surgery workload still passes it."""
+    out = forward(g, x, mode="eval")[0]
+    acc = accuracy(out, y) if loss == "cross_entropy" else float("nan")
+    return evaluate_loss(out, loss, y), acc
 
 
 def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
@@ -202,11 +201,11 @@ def _write_back_running_stats(g, small, maps: dict[int, list[int]]) -> None:
 
 
 def train_graph(g, part: PartitionResult, data: ClassificationData,
-                cfg: ExperimentConfig, rng_batches: np.random.Generator,
-                target_groups: Optional[int] = None):
+                cfg: ExperimentConfig, rng_batches: np.random.Generator):
     """Train the graph in place; returns (optimizer, per-epoch rows).
 
-    The optimizer owns the full flat iterate. Forward and backward run on a
+    The optimizer targets ``resolve_target_groups(part, cfg)`` zero groups
+    and owns the full flat iterate. Forward and backward run on a
     copy of g without the optimizer's frozen groups, rebuilt at each epoch
     boundary where the frozen set has grown (inside that epoch's timing).
     The copy's arrays are views into its ``ParamIndex`` buffer, which each
@@ -225,9 +224,8 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
     index = ParamIndex(g)
     n_train = data.x_train.shape[0]
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
-    opt_cfg = cfg.optimizer
-    if target_groups is not None:
-        opt_cfg = dataclasses.replace(opt_cfg, target_zero_groups=target_groups)
+    opt_cfg = dataclasses.replace(cfg.optimizer,
+                                  target_zero_groups=resolve_target_groups(part, cfg))
     opt = DhspgOptimizer(index.x, [index.group_indices(z) for z in part.zigs], opt_cfg,
                          steps_per_epoch=steps_per_epoch,
                          group_components=[z.component_id for z in part.zigs],
@@ -403,8 +401,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_json(os.path.join(cfg.output_dir, "config.json"), cfg.to_doc())
     write_json(os.path.join(cfg.output_dir, "partition.json"), part.to_doc())
-    opt, rows = train_graph(g, part, data, cfg, streams["batches"],
-                            target_groups=target)
+    opt, rows = train_graph(g, part, data, cfg, streams["batches"])
     write_training_log(os.path.join(cfg.output_dir, "training_log.csv"), rows)
     save_graph(g, os.path.join(cfg.output_dir, "graph_full.json"))
 

@@ -17,7 +17,7 @@ import numpy as np
 from zigprune.dhspg import OptimizerConfig
 from zigprune.graph import ComputationGraph, build_graph, infer_shapes, init_params
 from zigprune.harness import (ExperimentConfig, build_dataset, build_experiment_graph,
-                              resolve_target_groups, rng_streams, train_graph)
+                              rng_streams, train_graph)
 from zigprune.partition import partition
 
 
@@ -191,14 +191,12 @@ def run_runtime_bench(builder: str = "demo_net", epochs: int = 4,
             optimizer=OptimizerConfig(mode=mode, lr_period_epochs=2,
                                       default_penalty=0.05),
             epochs=epochs, batch_size=batch_size, seed=seed,
+            target_zero_fraction=target_fraction if mode == "dhspg" else None,
         )
         g = build_experiment_graph(cfg, streams["params"])
         part = partition(g)
         data = build_dataset(cfg, streams["data"])
-        target = resolve_target_groups(part, dataclasses.replace(
-            cfg, target_zero_fraction=target_fraction)) if mode == "dhspg" else 0
-        _, rows = train_graph(g, part, data, cfg, streams["batches"],
-                              target_groups=target)
+        _, rows = train_graph(g, part, data, cfg, streams["batches"])
         results[mode] = [r["epoch_seconds"] for r in rows]
     sgd = float(np.mean(results["sgd"][1:]))
     dhspg = float(np.mean(results["dhspg"][1:]))

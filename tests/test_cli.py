@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from zigprune.builders import demo_net
 from zigprune.cli import main
 from zigprune.compression import detect_zero_groups
-from zigprune.graph import infer_shapes, load_graph, save_graph
+from zigprune.graph import graph_to_doc, infer_shapes, load_graph, save_graph
 from zigprune.partition import partition, zero_group
 
 
@@ -51,28 +52,15 @@ def test_partition_command(graph_file, tmp_path, capsys):
 
 
 def test_viz_command(graph_file, capsys):
+    """Each component of the graph's partition gets one fill colour."""
     assert main(["viz", graph_file]) == 0
     dot = capsys.readouterr().out
-    assert dot.startswith("digraph") and "fillcolor" in dot
-
-
-def test_viz_with_partition_file(graph_file, tmp_path, capsys):
-    part_file = tmp_path / "p.json"
-    main(["partition", graph_file, "--out", str(part_file)])
-    capsys.readouterr()
-    assert main(["viz", graph_file, "--partition", str(part_file)]) == 0
-    assert "digraph" in capsys.readouterr().out
-
-
-def test_viz_rejects_a_graph_document_as_the_partition(graph_file, tmp_path, capsys):
-    assert main(["viz", graph_file, "--partition", graph_file]) == 2
-    assert "unknown partition keys: ['edges', 'input_shapes', 'vertices']" in \
-        capsys.readouterr().err
-    part_file = tmp_path / "p.json"
-    part_file.write_text(json.dumps({"components": [{"id": 0, "vertices": ["a"]}]}),
-                         encoding="utf-8")
-    assert main(["viz", graph_file, "--partition", str(part_file)]) == 2
-    assert "partition component 0 'vertices'[0]" in capsys.readouterr().err
+    assert dot.startswith("digraph")
+    fill = dict(re.findall(r'^  n(\d+) \[.*fillcolor="(#\w+)"', dot, re.MULTILINE))
+    components = partition(infer_shapes(load_graph(graph_file))).to_doc()["components"]
+    assert components
+    for comp in components:
+        assert len({fill[str(v)] for v in comp["vertices"]}) == 1, comp["id"]
 
 
 def test_train_compress_eval_report_cycle(trained_run, tmp_path, capsys):
@@ -254,12 +242,28 @@ def test_train_rejects_a_graph_file_that_is_not_json(tmp_path, capsys):
     assert "graph.json" in capsys.readouterr().err
 
 
+def test_train_rejects_a_graph_file_without_weights(tmp_path, monkeypatch, capsys):
+    """A graph file must hold the weights it trains from: without them every
+    conv and linear weight would start at zero."""
+    monkeypatch.delenv("ZIGPRUNE_SEED", raising=False)
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(graph_to_doc(demo_net(), include_params=False)),
+                     encoding="utf-8")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "graph": {"path": str(graph)}, "epochs": 2, "output_dir": str(tmp_path / "run"),
+        "dataset": {"kind": "synthetic-classification", "n_train": 64, "n_test": 64},
+    }), encoding="utf-8")
+    assert main(["train", str(path)]) == 2
+    assert "vertex 0 (conv2d) gives no 'weight'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 # Each command and the outside JSON file it reads: "{f}" is that file, "{d}"
-# the run directory holding it, "{g}" a good graph file.
+# the run directory holding it.
 READS = {
     "partition": (["partition", "{f}"], "graph.json"),
     "viz": (["viz", "{f}"], "graph.json"),
-    "viz_partition": (["viz", "{g}", "--partition", "{f}"], "part.json"),
     "train": (["train", "{f}"], "exp.json"),
     "ablate": (["ablate", "{f}"], "exp.json"),
     "compress": (["compress", "{d}"], "config.json"),
@@ -270,15 +274,14 @@ READS = {
 
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
 @pytest.mark.parametrize("command", list(READS))
-def test_unreadable_json_file_exits_2_naming_it(graph_file, tmp_path, capsys, command,
-                                                content):
+def test_unreadable_json_file_exits_2_naming_it(tmp_path, capsys, command, content):
     argv, name = READS[command]
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     path = run_dir / name
     if content is not None:
         path.write_text(content, encoding="utf-8")
-    assert main([a.format(f=path, d=run_dir, g=graph_file) for a in argv]) == 2
+    assert main([a.format(f=path, d=run_dir) for a in argv]) == 2
     assert repr(str(path)) in capsys.readouterr().err
 
 
@@ -289,7 +292,9 @@ def write_csv_run(tmp_path, train_rows, test_rows):
     (tmp_path / "graph.json").write_text(json.dumps({
         "input_shapes": [[1, 1, 2, 2]],
         "vertices": [{"id": 0, "op": "flatten"},
-                     {"id": 1, "op": "linear", "in_features": 4, "out_features": 4},
+                     {"id": 1, "op": "linear", "in_features": 4, "out_features": 4,
+                      "params": {"weight": [[float(i == j) for j in range(4)]
+                                            for i in range(4)]}},
                      {"id": 2, "op": "output"}],
         "edges": [[0, 1], [1, 2]]}), encoding="utf-8")
     data = tmp_path / "data"

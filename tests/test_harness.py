@@ -8,7 +8,7 @@ import pytest
 
 from zigprune.dhspg import OptimizerConfig
 from zigprune.datasets import ClassificationData, GroupSparseProblem
-from zigprune.engine import backward, forward
+from zigprune.engine import accuracy, backward, evaluate_loss, forward
 from zigprune.errors import ConfigError, TrainingDiverged
 from zigprune.graph import infer_shapes, load_graph
 from zigprune.harness import (
@@ -206,7 +206,7 @@ def test_time_partition_returns_positive():
 
 
 @pytest.mark.parametrize("builder", [demo_net, residual_block_net])
-def test_evaluate_graph_does_not_depend_on_the_chunk_size(builder):
+def test_evaluate_graph_matches_one_sample_forwards(builder):
     g = builder(seed=4)
     rng = np.random.default_rng(5)
     for vx in g.vertices.values():
@@ -214,14 +214,26 @@ def test_evaluate_graph_does_not_depend_on_the_chunk_size(builder):
             c = vx.params.running_mean.shape[0]
             vx.params.running_mean = rng.normal(size=c)
             vx.params.running_var = rng.uniform(0.5, 2.0, c)
-    n = 300  # 300 = 42 * 7 + 6 = 9 * 32 + 12 = 256 + 44: ragged last chunks
+    n = 300  # 300 = 9 * 32 + 12: a ragged last eval chunk
     x = rng.normal(size=(n, *g.input_shapes[0][1:]))
     y = rng.integers(0, g.vertices[g.topo_order[-1]].out_shape[1], size=n)
-    want_loss, want_acc = evaluate_graph(g, x, y, "cross_entropy", batch=n)
-    for batch in (1, 7, 32, 256):
-        loss, acc = evaluate_graph(g, x, y, "cross_entropy", batch=batch)
-        assert abs(loss - want_loss) < 1e-12, batch
-        assert acc == want_acc, batch
+    outs = [forward(g, x[i:i + 1], mode="eval")[0] for i in range(n)]
+    want_loss = np.mean([evaluate_loss(out, "cross_entropy", y[i:i + 1])
+                         for i, out in enumerate(outs)])
+    loss, acc = evaluate_graph(g, x, y, "cross_entropy")
+    assert abs(loss - want_loss) < 1e-12
+    assert acc == accuracy(np.concatenate(outs), y)
+
+
+def test_train_graph_resolves_its_target(tmp_path):
+    """train_graph takes K from the config's fraction, as run_pipeline does."""
+    g = demo_net(seed=0)
+    rng = np.random.default_rng(6)
+    data = ClassificationData(rng.normal(size=(64, 3, 16, 16)), rng.integers(0, 10, size=64),
+                              rng.normal(size=(8, 3, 16, 16)), rng.integers(0, 10, size=8), 10)
+    cfg = small_cfg(tmp_path, "k", target_zero_fraction=0.25, epochs=0)
+    opt, rows = train_graph(g, partition(g), data, cfg, np.random.default_rng(7))
+    assert opt.cfg.target_zero_groups == 16 and rows == []
 
 
 def test_no_train_step_array_outlives_its_step():

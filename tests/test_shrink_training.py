@@ -28,16 +28,15 @@ from zigprune.partition import partition, zero_group
 from test_compression import group_is_zero
 
 
-def reference_train_graph(g, part, data, cfg, rng_batches, target_groups=None):
+def reference_train_graph(g, part, data, cfg, rng_batches):
     """The full-width loop: scatter the iterate into g, forward and backward
     on g, step on its gradient."""
     index = ParamIndex(g)
     group_idx = [index.group_indices(z) for z in part.zigs]
     n_train = data.x_train.shape[0]
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
-    opt_cfg = cfg.optimizer
-    if target_groups is not None:
-        opt_cfg = dataclasses.replace(opt_cfg, target_zero_groups=target_groups)
+    opt_cfg = dataclasses.replace(cfg.optimizer,
+                                  target_zero_groups=harness.resolve_target_groups(part, cfg))
     opt = DhspgOptimizer(index.gather(g), group_idx, opt_cfg,
                          steps_per_epoch=steps_per_epoch,
                          group_components=[z.component_id for z in part.zigs],
@@ -124,7 +123,7 @@ def run(trainer, case, monkeypatch):
                                   penalty_amplify=16.0, warmup_steps=8,
                                   project_start_step=8, salience_cos_weight=0.0,
                                   salience_mag_weight=1.0, mode=mode),
-        epochs=epochs, batch_size=batch, seed=seed)
+        epochs=epochs, batch_size=batch, seed=seed, target_zero_fraction=fraction)
     froze_at: dict[int, int] = {}
     evals = []
     step, evaluate = DhspgOptimizer.step, harness.evaluate_graph
@@ -141,8 +140,7 @@ def run(trainer, case, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(DhspgOptimizer, "step", recording_step)
         m.setattr(harness, "evaluate_graph", counting_evaluate)
-        opt, rows = trainer(g, part, data, cfg, np.random.default_rng(seed),
-                            target_groups=int(round(fraction * len(part.zigs))))
+        opt, rows = trainer(g, part, data, cfg, np.random.default_rng(seed))
     return SimpleNamespace(g=g, part=part, opt=opt, rows=rows, froze_at=froze_at,
                            evals=evals, epochs=epochs)
 
