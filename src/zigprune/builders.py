@@ -1,6 +1,6 @@
 """Ready-made test architectures.
 
-All builders return validated, shape-inferred graphs with seeded parameter
+All builders return shaped graphs (``build_graph``) with seeded parameter
 initialization.
 """
 
@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import ComputationGraph, build_graph, infer_shapes, init_params
+from .graph import ComputationGraph, build_graph, init_params
 
 
 def _finish(doc: dict, seed: int) -> ComputationGraph:
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(seed))
     return g
 

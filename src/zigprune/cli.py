@@ -21,7 +21,7 @@ import sys
 
 from .datasets import GroupSparseProblem, dataset_spec
 from .errors import ConfigError, ZigpruneError, read_json, write_json
-from .graph import export_dot, infer_shapes, load_graph
+from .graph import export_dot, load_graph
 from .harness import (
     ExperimentConfig,
     build_dataset,
@@ -42,7 +42,7 @@ def _load_run_config(run_dir: str) -> ExperimentConfig:
 
 
 def cmd_partition(args) -> int:
-    g = infer_shapes(load_graph(args.graph))
+    g = load_graph(args.graph)
     doc = partition(g).to_doc()
     if args.out:
         write_json(args.out, doc)
@@ -66,7 +66,7 @@ def cmd_train(args) -> int:
 
 def cmd_compress(args) -> int:
     cfg = _load_run_config(args.run_dir)
-    g = infer_shapes(load_graph(os.path.join(args.run_dir, "graph_full.json")))
+    g = load_graph(os.path.join(args.run_dir, "graph_full.json"))
     _, mask, _, equiv = compress_and_verify(g, partition(g), cfg, args.run_dir)
     print(f"removed {mask.zero_group_count()} groups; "
           f"max |diff| = {equiv['max_abs_diff']:.3e}")
@@ -75,8 +75,8 @@ def cmd_compress(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args.run_dir)
-    g = infer_shapes(load_graph(os.path.join(args.run_dir, "graph_full.json")))
-    small = infer_shapes(load_graph(os.path.join(args.run_dir, "graph_compressed.json")))
+    g = load_graph(os.path.join(args.run_dir, "graph_full.json"))
+    small = load_graph(os.path.join(args.run_dir, "graph_compressed.json"))
     equiv = check_equivalence(g, small, cfg)
     data = build_dataset(cfg, rng_streams(cfg.seed)["data"])
     loss_full, acc_full = evaluate_graph(g, data.x_test, data.y_test, cfg.loss)
@@ -90,7 +90,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    g = infer_shapes(load_graph(args.graph))
+    g = load_graph(args.graph)
     print(export_dot(g, partition(g).coloring()))
     return 0
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (AllGroupsZeroInComponent, ConfigError, GraphError,
                      ShapeMismatchAfterPrune)
-from .graph import ComputationGraph, Vertex, count_flops_params, infer_shapes
+from .graph import ComputationGraph, Vertex, count_flops_params
 from .partition import PartitionResult
 from .engine import EVAL_BATCH, forward
 
@@ -107,14 +107,13 @@ def prune(g: ComputationGraph, mask: PruneMask,
         kind, params = vx.kind.narrow(params, maps[vid], in_map)
         new_vertices[vid] = Vertex(id=vid, kind=kind, name=vx.name, params=params)
 
-    pruned = ComputationGraph(
-        vertices=new_vertices,
-        edges=list(g.edges),
-        input_shapes=list(g.input_shapes),
-        input_binding=dict(g.input_binding),
-    )
     try:
-        infer_shapes(pruned)
+        pruned = ComputationGraph(
+            vertices=new_vertices,
+            edges=list(g.edges),
+            input_shapes=list(g.input_shapes),
+            input_binding=dict(g.input_binding),
+        )
     except GraphError as exc:
         raise ShapeMismatchAfterPrune(str(exc)) from exc
     if not mask.empty:

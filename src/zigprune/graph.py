@@ -34,7 +34,9 @@ vertex is the first-appearance order of its incoming edges in the edge list
 none: an op attribute against its kind's field annotation in ``ops.py`` (a
 size is an integer >= 1, ``has_bias`` a bool), ids, edge ends and input dims
 as integers, parameters as finite numbers. A malformed value is a GraphError
-naming the vertex and the field.
+naming the vertex and the field. Construction then checks arity and infers
+every ``out_shape``, so a document builds a shaped graph or raises a
+GraphError; ``infer_shapes`` re-runs the shape pass.
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ class Vertex:
 class ComputationGraph:
     """Immutable-after-construction operator DAG.
 
-    Structure (vertices, edges, shapes) is fixed once built and shape-inferred;
-    parameter values may be rewritten in place by training.
+    Construction checks arity and infers every ``out_shape``. Structure
+    (vertices, edges, shapes) is then fixed; parameter values may be
+    rewritten in place by training.
     """
 
     vertices: dict[int, Vertex]
@@ -107,10 +110,12 @@ class ComputationGraph:
         )
         for v in self.input_ids:
             self.input_binding.setdefault(v, 0)
+        _validate_arity(self)
         # the vertex whose output the graph returns: the output vertex if
         # there is one, else the last in topological order
         self.output_id = next((v for v, vx in self.vertices.items() if vx.category == OUTPUT),
-                              self.topo_order[-1] if self.topo_order else None)
+                              self.topo_order[-1])
+        infer_shapes(self)
 
     def _toposort(self) -> list[int]:
         indeg = {v: len(self.preds[v]) for v in self.vertices}
@@ -204,13 +209,13 @@ def build_graph(doc: dict) -> ComputationGraph:
             raise GraphError(f"input_shapes[{i}] {shape} must be rank 2 or 4")
         input_shapes.append(shape)
 
-    g = ComputationGraph(vertices=vertices, edges=edges, input_shapes=input_shapes,
-                         input_binding=binding)
-    _validate_arity(g)
-    return g
+    return ComputationGraph(vertices=vertices, edges=edges, input_shapes=input_shapes,
+                            input_binding=binding)
 
 
 def _validate_arity(g: ComputationGraph) -> None:
+    if not g.vertices:
+        raise GraphError("a graph needs at least one vertex")
     n_out = sum(v.category == OUTPUT for v in g.vertices.values())
     if n_out > 1:
         raise GraphError("at most one output vertex is supported")
@@ -220,7 +225,7 @@ def _validate_arity(g: ComputationGraph) -> None:
         if not 0 <= idx < len(g.input_shapes):
             raise GraphError(f"vertex {vid} bound to missing input {idx}")
     used = {g.input_binding[v] for v in g.input_ids}
-    if g.input_ids and used != set(range(len(g.input_shapes))):
+    if used != set(range(len(g.input_shapes))):
         raise GraphError("every input shape must feed at least one root vertex")
     for vid, vx in g.vertices.items():
         n_in = len(g.preds[vid])
@@ -242,10 +247,11 @@ def _validate_arity(g: ComputationGraph) -> None:
 # ---------------------------------------------------------------------------
 
 def infer_shapes(g: ComputationGraph) -> ComputationGraph:
-    """Fill every vertex's out_shape; idempotent.
+    """Fill every vertex's out_shape; construction runs it, and a re-run is idempotent.
 
     Raises ShapeMismatchAtSDJoint when an Add/Mul receives unequal input
-    shapes and FlattenWithoutKnownSpatialDims for a Flatten on 2-D input.
+    shapes, FlattenWithoutKnownSpatialDims for a Flatten on 2-D input, and a
+    GraphError naming the vertex for any other input its op cannot take.
     """
     batch_dims = {s[0] for s in g.input_shapes}
     if len(batch_dims) > 1:
@@ -254,12 +260,8 @@ def infer_shapes(g: ComputationGraph) -> ComputationGraph:
         vx = g.vertices[vid]
         if vid in g.input_binding:
             in_shapes = [g.input_shapes[g.input_binding[vid]]]
-            if vx.category in (SD_JOINT, SID_JOINT):
-                raise GraphError(f"joint vertex {vid} cannot be a graph input")
         else:
             in_shapes = [g.vertices[p].out_shape for p in g.preds[vid]]
-            if any(s is None for s in in_shapes):
-                raise GraphError(f"vertex {vid} has an unshaped predecessor")
         vx.out_shape = vx.kind.infer_shape(in_shapes, vid)
     return g
 
@@ -280,8 +282,6 @@ def count_flops_params(g: ComputationGraph) -> tuple[int, int]:
     params = 0
     for vid in g.topo_order:
         vx = g.vertices[vid]
-        if vx.out_shape is None:
-            raise GraphError("count_flops_params requires inferred shapes")
         flops += vx.kind.flops(vx.out_shape, len(g.preds[vid]))
         if vx.params is not None:
             params += vx.params.trainable_count()

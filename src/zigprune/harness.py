@@ -39,7 +39,7 @@ from .engine import accuracy, backward, evaluate_loss, forward
 from .errors import (AllGroupsZeroInComponent, ConfigError, Count, NonNegative, Size,
                      TrainingDiverged, check_fields, check_value, field_types, read_json,
                      write_json)
-from .graph import STEM, build_graph, count_flops_params, infer_shapes, init_params, save_graph
+from .graph import STEM, build_graph, count_flops_params, init_params, save_graph
 from .paramvec import ParamIndex
 from .partition import PartitionResult, partition
 
@@ -125,7 +125,7 @@ def build_experiment_graph(cfg: ExperimentConfig, rng_params: np.random.Generato
         init_params(g, rng_params)
         return g
     doc = read_json(spec["path"], "graph")
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     for vdoc in doc.get("vertices", []):
         vx = g.vertices[vdoc["id"]]
         if vx.category == STEM and "weight" not in (vdoc.get("params") or {}):

@@ -181,6 +181,13 @@ class OpKind:
     def infer_shape(self, in_shapes: list[tuple[int, ...]], vid: int) -> tuple[int, ...]:
         return in_shapes[0]
 
+    def _input_of_rank(self, in_shapes, rank: int, vid: int, error=GraphError):
+        """The single input shape, or ``error`` naming the vertex if it has not ``rank`` dims."""
+        shape, = in_shapes
+        if len(shape) != rank:
+            raise error(f"vertex {vid}: {self.op} needs a rank-{rank} input, got {shape}")
+        return shape
+
     def flops(self, out_shape: tuple[int, ...], n_inputs: int) -> int:
         return 0
 
@@ -241,7 +248,7 @@ class Conv2d(OpKind):
     category = STEM
 
     def infer_shape(self, in_shapes, vid):
-        (n, c, h, w), = in_shapes
+        n, c, h, w = self._input_of_rank(in_shapes, 4, vid)
         if c != self.in_channels:
             raise GraphError(
                 f"vertex {vid}: conv expects {self.in_channels} channels, got {c}"
@@ -315,7 +322,7 @@ class Linear(OpKind):
     category = STEM
 
     def infer_shape(self, in_shapes, vid):
-        (n, f), = in_shapes
+        n, f = self._input_of_rank(in_shapes, 2, vid)
         if f != self.in_features:
             raise GraphError(
                 f"vertex {vid}: linear expects {self.in_features} features, got {f}"
@@ -505,7 +512,7 @@ class _Pool(OpKind):
     stride: Size
 
     def infer_shape(self, in_shapes, vid):
-        (n, c, h, w), = in_shapes
+        n, c, h, w = self._input_of_rank(in_shapes, 4, vid)
         ho = (h - self.kernel) // self.stride + 1
         wo = (w - self.kernel) // self.stride + 1
         if ho < 1 or wo < 1:
@@ -573,12 +580,7 @@ class Flatten(OpKind):
     op = "flatten"
 
     def infer_shape(self, in_shapes, vid):
-        shape, = in_shapes
-        if len(shape) != 4:
-            raise FlattenWithoutKnownSpatialDims(
-                f"vertex {vid}: flatten needs a rank-4 input, got {shape}"
-            )
-        n, c, h, w = shape
+        n, c, h, w = self._input_of_rank(in_shapes, 4, vid, FlattenWithoutKnownSpatialDims)
         return (n, c * h * w)
 
     def forward(self, params, xs, mode, src=None, memo=None, own=False):

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GraphError, InconsistentStemWidths, PartitionError
+from .errors import InconsistentStemWidths, PartitionError
 from .graph import (
     ACCESSORY,
     ComputationGraph,
@@ -238,8 +238,6 @@ def _channel_origins(g: ComputationGraph, comp_of: dict[int, int],
     origins: dict[int, np.ndarray] = {}
     for vid in g.topo_order:
         vx = g.vertices[vid]
-        if vx.out_shape is None:
-            raise GraphError("partition requires inferred shapes")
         cat = vx.category
         if cat == STEM:
             first = base[comp_of[vid]]

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from zigprune.dhspg import OptimizerConfig
-from zigprune.graph import ComputationGraph, build_graph, infer_shapes, init_params
+from zigprune.graph import ComputationGraph, build_graph, init_params
 from zigprune.harness import (ExperimentConfig, build_dataset, build_experiment_graph,
                               rng_streams, train_graph)
 from zigprune.partition import partition
@@ -42,7 +42,7 @@ def conv_chain(n_vertices: int, seed: int = 0, channels: int = 4) -> Computation
     vertices.append({"id": vid, "op": "output"})
     edges.append([prev, vid])
     doc = {"input_shapes": [[1, 3, 2, 2]], "vertices": vertices, "edges": edges}
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(seed))
     return g
 
@@ -109,7 +109,7 @@ def random_small_dag(rng: np.random.Generator) -> ComputationGraph:
     vertices.append({"id": vid + 3, "op": "output"})
     edges.append([vid + 2, vid + 3])
     doc = {"input_shapes": [[1, channels, size, size]], "vertices": vertices, "edges": edges}
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, rng)
     return g
 
@@ -124,7 +124,7 @@ def graphs_structurally_equal(a: ComputationGraph, b: ComputationGraph,
         return False
     for vid, va in a.vertices.items():
         vb = b.vertices[vid]
-        if va.kind != vb.kind:
+        if va.kind != vb.kind or va.out_shape != vb.out_shape:
             return False
         if check_params:
             pa, pb = va.params, vb.params

@@ -8,7 +8,7 @@ import pytest
 from zigprune.builders import demo_net
 from zigprune.cli import main
 from zigprune.compression import detect_zero_groups
-from zigprune.graph import graph_to_doc, infer_shapes, load_graph, save_graph
+from zigprune.graph import graph_to_doc, load_graph, save_graph
 from zigprune.partition import partition, zero_group
 
 
@@ -57,7 +57,7 @@ def test_viz_command(graph_file, capsys):
     dot = capsys.readouterr().out
     assert dot.startswith("digraph")
     fill = dict(re.findall(r'^  n(\d+) \[.*fillcolor="(#\w+)"', dot, re.MULTILINE))
-    components = partition(infer_shapes(load_graph(graph_file))).to_doc()["components"]
+    components = partition(load_graph(graph_file)).to_doc()["components"]
     assert components
     for comp in components:
         assert len({fill[str(v)] for v in comp["vertices"]}) == 1, comp["id"]
@@ -84,7 +84,7 @@ def test_compress_rewrites_compression_record(trained_run, tmp_path):
     run_dir = str(tmp_path / "run")
     shutil.copytree(trained_run[0], run_dir)
     full_path = os.path.join(run_dir, "graph_full.json")
-    g = infer_shapes(load_graph(full_path))
+    g = load_graph(full_path)
     part = partition(g)
     survivors = detect_zero_groups(g, part).survivors
     ci = next(ci for ci, kept in survivors.items() if len(kept) >= 2)
@@ -256,6 +256,42 @@ def test_train_rejects_a_graph_file_without_weights(tmp_path, monkeypatch, capsy
     }), encoding="utf-8")
     assert main(["train", str(path)]) == 2
     assert "vertex 0 (conv2d) gives no 'weight'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+LINEAR_4 = {"op": "linear", "in_features": 4, "out_features": 4}
+# Graph documents the IR rejects, and what the error names.
+REJECTED_GRAPHS = {
+    "pool_on_rank_2": ({"input_shapes": [[1, 4]],
+                        "vertices": [{"id": 0, **LINEAR_4},
+                                     {"id": 1, "op": "avg_pool", "kernel": 2, "stride": 1},
+                                     {"id": 2, "op": "output"}],
+                        "edges": [[0, 1], [1, 2]]},
+                       "vertex 1: avg_pool needs a rank-4 input"),
+    "linear_on_rank_4": ({"input_shapes": [[1, 3, 4, 4]],
+                          "vertices": [{"id": 0, **LINEAR_4}, {"id": 1, "op": "output"}],
+                          "edges": [[0, 1]]},
+                         "vertex 0: linear needs a rank-2 input"),
+    "no_vertices": ({"input_shapes": [[1, 4]], "vertices": [], "edges": []},
+                    "a graph needs at least one vertex"),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED_GRAPHS))
+def test_graph_file_the_ir_rejects_exits_2(tmp_path, monkeypatch, capsys, name):
+    """partition and train exit 2 naming the fault; train makes no run directory."""
+    monkeypatch.delenv("ZIGPRUNE_SEED", raising=False)
+    doc, needle = REJECTED_GRAPHS[name]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc), encoding="utf-8")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "graph": {"path": str(graph)}, "epochs": 2, "output_dir": str(tmp_path / "run"),
+        "dataset": {"kind": "synthetic-classification", "n_train": 64, "n_test": 64},
+    }), encoding="utf-8")
+    for argv in (["partition", str(graph)], ["train", str(path)]):
+        assert main(argv) == 2
+        assert needle in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
 
 

@@ -101,7 +101,7 @@ def test_channel_map_concat_offsets():
         "edges": [[0, 2], [1, 2], [2, 3], [3, 4]],
     }
     from zigprune.graph import build_graph, init_params
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(0))
     part = partition(g)
     # components: conv0 (3 groups), conv1 (3 groups); conv3 is output-adjacent
@@ -139,7 +139,7 @@ def test_channel_map_flatten_block_expansion():
         "edges": [[0, 1], [1, 2], [2, 3], [3, 4]],
     }
     from zigprune.graph import build_graph, init_params
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(0))
     part = partition(g)
     mask = make_mask(part, [0])  # drop channel 0 of the conv, keep [1]
@@ -164,6 +164,23 @@ def test_channel_table_matches_pruned_shapes():
                     assert len(maps[vid]) == vx.out_shape[1], vid
             for p in g.preds[g.output_id]:
                 assert maps[p] == list(range(g.vertices[p].out_shape[1]))
+
+
+def test_prune_returns_a_shaped_graph():
+    """prune's output shapes equal a fresh shape pass over the pruned graph."""
+    rng = np.random.default_rng(43)
+    graphs = [make(seed=17) for _, make in sorted(BUILDERS.items())]
+    graphs += [random_small_dag(rng) for _ in range(10)]
+    for g in graphs:
+        part = partition(g)
+        mask = make_mask(part, random_mask_ids(part, rng))
+        small = prune(g, mask, build_channel_maps(g, part, mask))
+        shapes = {vid: vx.out_shape for vid, vx in small.vertices.items()}
+        assert None not in shapes.values()
+        for vx in small.vertices.values():
+            vx.out_shape = None
+        infer_shapes(small)
+        assert shapes == {vid: vx.out_shape for vid, vx in small.vertices.items()}
 
 
 def test_prune_demo_net_param_arithmetic():
@@ -445,7 +462,7 @@ def test_group_flops_savings_width_one_component(tmp_path):
     }
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    g = infer_shapes(load_graph(str(path)))
+    g = load_graph(str(path))
     part = partition(g)
     assert sorted(part.widths) == [0, 1, 2]
     full, _ = count_flops_params(g)
@@ -492,7 +509,7 @@ def test_detect_zero_groups_on_benchmark_wide_graph(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
     from workloads import DhspgManyGroups, wide_doc
     w = DhspgManyGroups
-    g = infer_shapes(build_graph(wide_doc(w.GROUPS, w.VARS, w.CLASSES)))
+    g = build_graph(wide_doc(w.GROUPS, w.VARS, w.CLASSES))
     init_params(g, np.random.default_rng(2))
     part = partition(g)
     for i in range(0, len(part.zigs), 2):

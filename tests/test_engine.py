@@ -15,7 +15,7 @@ from zigprune.builders import BUILDERS, demo_net
 from zigprune.engine import (EVAL_BATCH, _loss_and_grad, accuracy, backward, evaluate_loss,
                              forward)
 from zigprune.errors import GraphError, ShapeMismatch
-from zigprune.graph import build_graph, infer_shapes, init_params
+from zigprune.graph import build_graph, init_params
 from zigprune.harness import evaluate_graph
 from zigprune.ops import Add, AvgPool, BatchNorm, Mul, ReLU, _sample_blocks
 from zigprune.paramvec import ParamIndex
@@ -70,7 +70,7 @@ def conv_graph(k=3, stride=1, pad=1, cin=2, cout=3, hw=(4, 4), has_bias=True, se
                       "has_bias": has_bias}],
         "edges": [],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(seed))
     return g
 
@@ -206,7 +206,7 @@ def test_bn_identity_passthrough_in_eval():
         "vertices": [{"id": 0, "op": "batch_norm", "channels": 3}],
         "edges": [],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     x = np.random.default_rng(1).normal(size=(4, 3, 2, 2))
     out, _ = forward(g, x, mode="eval")
     # gamma=1, beta=0, running stats 0/1: y = x / sqrt(1 + eps)
@@ -225,7 +225,7 @@ def test_concat_then_split_recovers_inputs():
         ],
         "edges": [[0, 2], [1, 2]],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(0))
     x = np.random.default_rng(2).normal(size=(2, 2, 2, 2))
     out, _ = forward(g, x, mode="eval")
@@ -241,7 +241,7 @@ def test_linear_regression_analytic_gradient():
                       "out_features": 2, "has_bias": False}],
         "edges": [],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     rng = np.random.default_rng(3)
     g.vertices[0].params.weight = rng.normal(size=(2, 3))
     x = rng.normal(size=(1, 3))
@@ -308,7 +308,6 @@ def test_unknown_op_not_executable():
         "edges": [],
     }
     g = build_graph(doc)
-    g.vertices[0].out_shape = (1, 2, 2, 2)
     with pytest.raises(GraphError):
         forward(g, np.zeros((1, 2, 2, 2)))
 
@@ -420,7 +419,7 @@ def test_mul_joint_forward_and_gradients():
         ],
         "edges": [[0, 2], [1, 2], [2, 3], [3, 4], [4, 5]],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(6))
     x = np.random.default_rng(7).normal(size=(2, 2, 4, 4))
     acts = vertex_outputs(g, x, "eval")
@@ -439,7 +438,7 @@ def test_batchnorm_on_2d_features():
         ],
         "edges": [[0, 1], [1, 2], [2, 3]],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(9))
     assert finite_difference_check(g, "mse", n_coords=30, seed=10, batch=6).rel_err < 1e-5
 
@@ -452,7 +451,7 @@ def graph_of(input_shape, vertices, edges, seed=0):
     doc = {"input_shapes": [list(input_shape)],
            "vertices": [{"id": i, **v} for i, v in enumerate(vertices)],
            "edges": edges}
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     init_params(g, np.random.default_rng(seed))
     return g
 

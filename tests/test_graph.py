@@ -43,7 +43,6 @@ def test_demo_net_is_17_vertices_acyclic():
 def test_single_vertex_graph():
     g = build_graph(single_linear_doc())
     assert len(g.vertices) == 1
-    infer_shapes(g)
     assert g.vertices[0].out_shape == (1, 2)
 
 
@@ -64,6 +63,12 @@ def test_cycle_rejected():
         build_graph(doc)
 
 
+def test_graph_without_vertices_rejected():
+    for shapes in ([[1, 4]], []):
+        with pytest.raises(GraphError, match="at least one vertex"):
+            build_graph({"input_shapes": shapes, "vertices": [], "edges": []})
+
+
 def test_unknown_kind_string_rejected_but_explicit_unknown_allowed():
     doc = single_linear_doc()
     doc["vertices"][0] = {"id": 0, "op": "conv2D_typo"}
@@ -81,7 +86,7 @@ def test_conv_shape_inference():
                       "padding": 1, "in_channels": 3, "out_channels": 16}],
         "edges": [],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     assert g.vertices[0].out_shape == (1, 16, 8, 8)
 
 
@@ -97,7 +102,7 @@ def test_concat_channel_sum():
         ],
         "edges": [[0, 2], [1, 2]],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     assert g.vertices[2].out_shape == (1, 32, 8, 8)
 
 
@@ -114,7 +119,7 @@ def test_add_shape_mismatch_raises():
         "edges": [[0, 2], [1, 2]],
     }
     with pytest.raises(ShapeMismatchAtSDJoint):
-        infer_shapes(build_graph(doc))
+        build_graph(doc)
 
 
 def test_infer_shapes_idempotent():
@@ -125,7 +130,7 @@ def test_infer_shapes_idempotent():
 
 
 def test_flops_linear_no_bias():
-    g = infer_shapes(build_graph(single_linear_doc()))
+    g = build_graph(single_linear_doc())
     assert count_flops_params(g) == (16, 8)
 
 
@@ -137,7 +142,7 @@ def test_flops_pointwise_conv():
                       "has_bias": False}],
         "edges": [],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     assert count_flops_params(g) == (12, 6)
 
 
@@ -151,11 +156,11 @@ def test_demo_net_flops_params_golden():
 
 def test_flops_invariant_under_vertex_list_order():
     doc = graph_to_doc(demo_net())
-    base = count_flops_params(infer_shapes(build_graph(doc)))
+    base = count_flops_params(build_graph(doc))
     rng = np.random.default_rng(7)
     for _ in range(5):
         rng.shuffle(doc["vertices"])
-        assert count_flops_params(infer_shapes(build_graph(doc))) == base
+        assert count_flops_params(build_graph(doc)) == base
 
 
 def test_builders_pass_shape_inference():
@@ -181,7 +186,7 @@ def test_stacked_unets_two_inputs_two_concats():
 def test_serialization_round_trip_builders():
     for make in BUILDERS.values():
         g = make(seed=3)
-        g2 = infer_shapes(build_graph(graph_to_doc(g)))
+        g2 = build_graph(graph_to_doc(g))
         assert graphs_structurally_equal(g, g2)
 
 
@@ -190,6 +195,7 @@ def test_serialization_round_trip_random_dags():
     for _ in range(100):
         g = random_small_dag(rng)
         g2 = build_graph(graph_to_doc(g))
+        assert all(v.out_shape for v in g2.vertices.values())
         assert graphs_structurally_equal(g, g2)
 
 
@@ -206,12 +212,19 @@ OP_ATTRS = {
 }
 
 
-def one_op_doc(op, attrs):
-    """The op as vertex 2, fed by as many ReLU roots as its category needs."""
+# Ops that need a rank-4 input; OP_ATTRS' sizes take [1, 2, 5, 5] or [1, 4].
+RANK4_OPS = {"conv2d", "max_pool", "avg_pool", "flatten"}
+
+
+def one_op_doc(op, attrs, input_shape=None):
+    """The op as vertex 2, fed by as many ReLU roots as its category needs,
+    on an input it accepts unless ``input_shape`` is given."""
     cls = _KIND_BY_OP[op]
     n_in = 2 if cls.category in ("sd_joint", "sid_joint") else 1
     roots = [{"id": i, "op": "relu"} for i in range(n_in)]
-    return {"input_shapes": [[1, 4]],
+    if input_shape is None:
+        input_shape = [1, 2, 5, 5] if op in RANK4_OPS else [1, 4]
+    return {"input_shapes": [input_shape],
             "vertices": roots + [{"id": 2, "op": op, **attrs}],
             "edges": [[i, 2] for i in range(n_in)]}
 
@@ -234,6 +247,19 @@ def test_kind_attributes_round_trip(op):
         else:
             kind = build_graph(one_op_doc(op, partial)).vertices[2].kind
             assert getattr(kind, f.name) == f.default
+
+
+@pytest.mark.parametrize("input_shape", [[1, 4], [1, 2, 5, 5]], ids=["rank2", "rank4"])
+@pytest.mark.parametrize("op", sorted(_KIND_BY_OP))
+def test_every_kind_builds_shaped_or_raises_graph_error(op, input_shape):
+    """A rank-2 or rank-4 input gives a shaped graph or a GraphError naming
+    the vertex, never another exception."""
+    try:
+        g = build_graph(one_op_doc(op, OP_ATTRS.get(op, {}), input_shape))
+    except GraphError as exc:
+        assert "vertex 2" in str(exc)
+    else:
+        assert all(v.out_shape is not None for v in g.vertices.values())
 
 
 def typed_doc():
@@ -290,7 +316,7 @@ def typed_doc():
 ])
 def test_graph_document_values_are_not_coerced(path, value, named):
     doc = typed_doc()
-    infer_shapes(build_graph(doc))
+    build_graph(doc)
     *head, last = path
     target = doc
     for key in head:

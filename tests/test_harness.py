@@ -10,7 +10,7 @@ from zigprune.dhspg import OptimizerConfig
 from zigprune.datasets import ClassificationData, GroupSparseProblem
 from zigprune.engine import accuracy, backward, evaluate_loss, forward
 from zigprune.errors import ConfigError, TrainingDiverged
-from zigprune.graph import infer_shapes, load_graph
+from zigprune.graph import load_graph
 from zigprune.harness import (
     ExperimentConfig,
     evaluate_graph,
@@ -97,8 +97,8 @@ def test_pipeline_k_zero_keeps_graph(tmp_path):
     cfg = small_cfg(tmp_path, "k0")
     result = run_pipeline(cfg)
     assert result.ok
-    full = infer_shapes(load_graph(os.path.join(cfg.output_dir, "graph_full.json")))
-    small = infer_shapes(load_graph(os.path.join(cfg.output_dir, "graph_compressed.json")))
+    full = load_graph(os.path.join(cfg.output_dir, "graph_full.json"))
+    small = load_graph(os.path.join(cfg.output_dir, "graph_compressed.json"))
     assert graphs_structurally_equal(full, small)
     assert result.metrics["flops_ratio"] == 1.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zigprune.builders import BUILDERS
-from zigprune.graph import build_graph, infer_shapes, init_params
+from zigprune.graph import build_graph, init_params
 from zigprune.paramvec import ParamIndex
 from zigprune.partition import partition
 
@@ -53,7 +53,7 @@ def identity_graphs():
     rng = np.random.default_rng(0)
     graphs += [random_small_dag(rng) for _ in range(200)]
     graphs.append(conv_chain(50))
-    wide = infer_shapes(build_graph(WIDE_LINEAR))
+    wide = build_graph(WIDE_LINEAR)
     init_params(wide, np.random.default_rng(1))
     return graphs + [wide]
 

@@ -4,9 +4,9 @@ import pytest
 from zigprune.builders import demo_net, residual_block_net, stacked_unets_mini
 from zigprune.compression import compress, make_mask, verify_equivalence
 from zigprune.engine import forward
-from zigprune.errors import GraphError, InconsistentStemWidths
+from zigprune.errors import InconsistentStemWidths
 from zigprune.graph import (ACCESSORY, SD_JOINT, STEM, UNKNOWN, build_graph, graph_to_doc,
-                            infer_shapes, init_params)
+                            init_params)
 from zigprune.paramvec import ParamIndex
 from zigprune.partition import (
     DependencyComponent,
@@ -117,7 +117,7 @@ def test_pure_stem_chain_has_no_seeds():
         ],
         "edges": [[0, 1], [1, 2]],
     }
-    g = infer_shapes(build_graph(doc))
+    g = build_graph(doc)
     # no edge joins two stems: each becomes its own component
     part = partition(g)
     assert [c.vertex_ids for c in part.components] == [{0}, {1}]
@@ -129,7 +129,7 @@ def test_pure_stem_chain_has_no_seeds():
 def test_stems_reaching_output_through_concat_are_excluded():
     # The edge rule stops at the concat, so neither linear feeds the output
     # directly, yet removing a row of either would narrow the output.
-    g = infer_shapes(build_graph(CONCAT_TO_OUTPUT))
+    g = build_graph(CONCAT_TO_OUTPUT)
     init_params(g, np.random.default_rng(0))
     part = partition(g)
     assert part.widths == [0, 0] and part.zigs == []
@@ -144,7 +144,7 @@ def test_stems_reaching_unknown_through_concat_are_excluded():
     # The edge rule stops at the concat, so the unknown op's component does
     # not absorb the convs, yet removing a channel of either would narrow the
     # opaque op's input.
-    g = infer_shapes(build_graph(CONCAT_TO_UNKNOWN))
+    g = build_graph(CONCAT_TO_UNKNOWN)
     init_params(g, np.random.default_rng(0))
     part = partition(g)
     assert part.zigs == [] and not any(part.widths)
@@ -155,7 +155,7 @@ def test_stems_reaching_unknown_through_concat_are_excluded():
 
 
 def test_unknown_vertex_seeds_own_component():
-    g = infer_shapes(build_graph(CONV_TO_UNKNOWN))
+    g = build_graph(CONV_TO_UNKNOWN)
     part = partition(g)
     assert [c.vertex_ids for c in part.components] == [{0, 1}]
     assert part.components[0].contains_unknown
@@ -200,7 +200,7 @@ def stem_feeding_two_chains(second_chain_end: dict) -> dict:
 def test_stem_feeding_two_batchnorm_chains_is_one_component():
     conv = {"op": "conv2d", "kernel": 1, "stride": 1, "padding": 0,
             "in_channels": 3, "out_channels": 2}
-    part = partition(infer_shapes(build_graph(stem_feeding_two_chains(conv))))
+    part = partition(build_graph(stem_feeding_two_chains(conv)))
     assert [c.vertex_ids for c in part.components] == [{0, 1, 2}, {3}, {4}]
     assert part.widths == [3, 0, 2]
     assert part.zigs[0].slices == [ParamSlice(0, "weight_row", 0, 1),
@@ -211,7 +211,7 @@ def test_stem_feeding_two_batchnorm_chains_is_one_component():
                                    ParamSlice(2, "beta", 0, 1)]
     # an unknown op ending one chain excludes the whole component
     unknown = {"op": "unknown", "opname": "mystery"}
-    part = partition(infer_shapes(build_graph(stem_feeding_two_chains(unknown))))
+    part = partition(build_graph(stem_feeding_two_chains(unknown)))
     assert [c.vertex_ids for c in part.components] == [{0, 1, 2, 4}, {3}]
     assert part.zigs == []
     # the BatchNorm on the known chain is tallied with the conv feeding it
@@ -221,7 +221,7 @@ def test_stem_feeding_two_batchnorm_chains_is_one_component():
 
 def test_components_follow_the_edge_rule():
     graphs = builder_and_random_graphs(100, seed=7)
-    graphs += [infer_shapes(build_graph(doc)) for doc in HAND_WRITTEN]
+    graphs += [build_graph(doc) for doc in HAND_WRITTEN]
     nodes = (STEM, ACCESSORY, SD_JOINT, UNKNOWN)
     for g in graphs:
         comps = partition(g).components
@@ -247,12 +247,6 @@ def test_components_follow_the_edge_rule():
                     reached.add(w)
                     stack.append(w)
             assert reached == c.vertex_ids, graph_to_doc(g)
-
-
-def test_partition_of_unshaped_graph_raises_graph_error():
-    g = build_graph(graph_to_doc(demo_net(), include_params=False))
-    with pytest.raises(GraphError, match="requires inferred shapes"):
-        partition(g)
 
 
 def demo_golden_groups(part):
@@ -362,17 +356,17 @@ def test_channel_table_owns_every_group_slice():
 def test_batchnorm_on_graph_input_has_no_producer():
     # no stem controls the input's channels: the BatchNorm's 2*3 scalars are
     # grouped nowhere and tallied as no-producer
-    part = partition(infer_shapes(build_graph(INPUT_BN_TO_CONV)))
+    part = partition(build_graph(INPUT_BN_TO_CONV))
     assert part.zigs == [] and part.widths == [0, 0]
     assert part.excluded == [ExcludedComponent(1, "output-adjacent", 3 * 2 + 2),
                              ExcludedComponent(-1, "no-producer", 2 * 3)]
     # a BatchNorm whose own component is excluded is tallied to it whole
-    part = partition(infer_shapes(build_graph(INPUT_BN_TO_OUTPUT)))
+    part = partition(build_graph(INPUT_BN_TO_OUTPUT))
     assert part.excluded == [ExcludedComponent(0, "output-adjacent", 2 * 3)]
 
 
 def test_batchnorm_rows_tally_to_their_producers_component():
-    g = infer_shapes(build_graph(CONCAT_OF_UNKNOWN_FEEDER_TO_BN))
+    g = build_graph(CONCAT_OF_UNKNOWN_FEEDER_TO_BN)
     part = partition(g)
     comp_of = {s: ci for ci, c in enumerate(part.components) for s in c.stem_ids}
     # conv 0 feeds the unknown op: its 3x2 weight, 3 biases and the first
@@ -392,7 +386,7 @@ def test_batchnorm_rows_tally_to_their_producers_component():
 
 def test_coverage_partition_accounts_every_parameter():
     graphs = builder_and_random_graphs(100, seed=6)
-    graphs += [infer_shapes(build_graph(doc)) for doc in HAND_WRITTEN]
+    graphs += [build_graph(doc) for doc in HAND_WRITTEN]
     for g in graphs:
         part = partition(g)
         total = ParamIndex(g).size
@@ -415,7 +409,7 @@ def test_partition_invariant_under_relabeling():
     for vdoc in doc["vertices"]:
         vdoc["id"] = int(perm[vdoc["id"]])
     doc["edges"] = [[int(perm[s]), int(perm[d])] for s, d in doc["edges"]]
-    g2 = infer_shapes(build_graph(doc))
+    g2 = build_graph(doc)
     part2 = partition(g2)
 
     def group_keys(part, mapping):

@@ -21,7 +21,7 @@ from zigprune.dhspg import DhspgOptimizer, OptimizerConfig
 from zigprune.engine import backward, forward
 from zigprune.errors import AllGroupsZeroInComponent
 from zigprune.graph import (Conv2d, build_graph, count_flops_params, graph_to_doc,
-                            infer_shapes, init_params)
+                            init_params)
 from zigprune.paramvec import ParamIndex
 from zigprune.partition import partition, zero_group
 
@@ -61,14 +61,14 @@ def one_input_unets():
     doc["input_shapes"] = doc["input_shapes"][:1]
     for v in doc["vertices"]:
         v.pop("input", None)
-    return infer_shapes(build_graph(doc))
+    return build_graph(doc)
 
 
 def conv_bn_linear_with_a_zero_group():
     """conv -> BatchNorm -> pool -> linear, no ReLU, with its first group
     zeroed: the zero channel still passes gradient to the BatchNorm shift,
     so plain SGD moves the group off zero. It is zero without being frozen."""
-    g = infer_shapes(build_graph({
+    g = build_graph({
         "input_shapes": [[1, 3, 8, 8]],
         "vertices": [
             {"id": 0, "op": "conv2d", "kernel": 3, "stride": 1, "padding": 1,
@@ -78,7 +78,7 @@ def conv_bn_linear_with_a_zero_group():
             {"id": 3, "op": "flatten"},
             {"id": 4, "op": "linear", "in_features": 64, "out_features": 4},
             {"id": 5, "op": "output"}],
-        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]}))
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]})
     init_params(g, np.random.default_rng(0))
     zero_group(g, partition(g).zigs[0])
     return g
