@@ -7,9 +7,9 @@ Flatten, per-channel statistics for normalization), so the pruned graph
 reproduces the full graph's eval-mode outputs exactly.
 
 Surgery reads the partition's channel table (``PartitionResult.channel_groups``)
-and walks no graph of its own: ``build_channel_maps`` lists each vertex's
-surviving output channels, and ``prune`` narrows every operator to its own
-list (output rows) and its predecessor's list (input channels).
+and walks no graph of its own, in index-array passes: ``build_channel_maps``
+gives each vertex an array of its surviving output channels, and ``prune``
+narrows every operator to its own array (output rows) and its predecessor's.
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ from .engine import EVAL_BATCH, forward
 
 @dataclass
 class PruneMask:
-    zero_flags: list[bool]            # aligned with partition.zigs
-    survivors: dict[int, list[int]]   # component id -> surviving group indices
+    zero_flags: np.ndarray            # bool, aligned with partition.zigs
+    survivors: dict[int, np.ndarray]  # component id -> surviving group indices, ascending
 
     @property
     def empty(self) -> bool:
-        return not any(self.zero_flags)
+        return not self.zero_flags.any()
 
     def zero_group_count(self) -> int:
-        return int(sum(self.zero_flags))
+        return int(np.count_nonzero(self.zero_flags))
 
 
 def detect_zero_groups(g: ComputationGraph, part: PartitionResult) -> PruneMask:
@@ -54,27 +54,31 @@ def detect_zero_groups(g: ComputationGraph, part: PartitionResult) -> PruneMask:
         for role in roles:
             arr = getattr(g.vertices[vid].params, role)
             nonzero[owners[arr.reshape(len(arr), -1).any(axis=1)]] = True
-    return make_mask(part, np.flatnonzero(~nonzero[:-1]).tolist())
+    return make_mask(part, np.flatnonzero(~nonzero[:-1]))
 
 
-def make_mask(part: PartitionResult, zero_group_ids: list[int]) -> PruneMask:
-    """Mask that removes the groups at the given positions into part.zigs.
+def make_mask(part: PartitionResult, zero_group_ids) -> PruneMask:
+    """Mask that removes the groups at the given positions into part.zigs
+    (an index array or list; repeats allowed). part.zigs is in (component,
+    index) order: a component's survivors are the unflagged offsets in its block.
 
-    Raises AllGroupsZeroInComponent when a component would lose all groups.
+    Raises ConfigError naming the first position outside [0, len(part.zigs)),
+    and AllGroupsZeroInComponent when a component would lose all groups.
     """
-    zero_ids = set(zero_group_ids)
-    flags = [i in zero_ids for i in range(len(part.zigs))]
-    survivors: dict[int, list[int]] = {}
-    for z, flagged in zip(part.zigs, flags):
-        if not flagged:
-            survivors.setdefault(z.component_id, []).append(z.group_index)
+    ids = np.asarray(zero_group_ids, dtype=np.intp)
+    bad = ids[(ids < 0) | (ids >= len(part.zigs))]
+    if bad.size:
+        raise ConfigError(f"group position {bad[0]} is outside [0, {len(part.zigs)})")
+    flags = np.zeros(len(part.zigs), dtype=bool)
+    flags[ids] = True
+    survivors: dict[int, np.ndarray] = {}
+    starts = np.cumsum([0] + part.widths)
     for ci, width in enumerate(part.widths):
         if width:
-            kept = sorted(survivors.get(ci, []))
-            if not kept:
-                raise AllGroupsZeroInComponent(
-                    f"component {ci}: all {width} groups would be removed"
-                )
+            kept = np.flatnonzero(~flags[starts[ci]:starts[ci] + width])
+            if not kept.size:
+                raise AllGroupsZeroInComponent(f"component {ci}: all {width} groups "
+                                               "would be removed")
             survivors[ci] = kept
     return PruneMask(zero_flags=flags, survivors=survivors)
 
@@ -84,20 +88,20 @@ def make_mask(part: PartitionResult, zero_group_ids: list[int]) -> PruneMask:
 # ---------------------------------------------------------------------------
 
 def build_channel_maps(g: ComputationGraph, part: PartitionResult,
-                       mask: PruneMask) -> dict[int, list[int]]:
-    """Per vertex: its surviving output channels (original numbering).
+                       mask: PruneMask) -> dict[int, np.ndarray]:
+    """Per vertex: an index array of its surviving output channels.
 
     Channel k survives unless the group that ``part.channel_groups``
-    records for it is zero; a channel no group controls always survives.
-    Concat offsets and Flatten blocks are already in the table.
+    records for it is zero; a channel no group controls (-1) reads the
+    trailing True of ``keep``. Concat offsets and Flatten blocks are
+    already in the table.
     """
-    zero = mask.zero_flags
-    return {vid: [k for k, gi in enumerate(groups) if gi < 0 or not zero[gi]]
-            for vid, groups in part.channel_groups.items()}
+    keep = np.append(~mask.zero_flags, True)
+    return {vid: np.flatnonzero(keep[owners]) for vid, owners in part.channel_groups.items()}
 
 
 def prune(g: ComputationGraph, mask: PruneMask,
-          maps: dict[int, list[int]]) -> ComputationGraph:
+          maps: dict[int, np.ndarray]) -> ComputationGraph:
     """Build the pruned graph: same topology, narrowed operators."""
     new_vertices: dict[int, Vertex] = {}
     for vid, vx in g.vertices.items():
@@ -108,17 +112,13 @@ def prune(g: ComputationGraph, mask: PruneMask,
         new_vertices[vid] = Vertex(id=vid, kind=kind, name=vx.name, params=params)
 
     try:
-        pruned = ComputationGraph(
-            vertices=new_vertices,
-            edges=list(g.edges),
-            input_shapes=list(g.input_shapes),
-            input_binding=dict(g.input_binding),
-        )
+        pruned = ComputationGraph(vertices=new_vertices, edges=list(g.edges),
+                                  input_shapes=list(g.input_shapes),
+                                  input_binding=dict(g.input_binding))
     except GraphError as exc:
         raise ShapeMismatchAfterPrune(str(exc)) from exc
     if not mask.empty:
-        full = count_flops_params(g)
-        small = count_flops_params(pruned)
+        full, small = count_flops_params(g), count_flops_params(pruned)
         if not (small[0] < full[0] and small[1] < full[1]):
             raise ShapeMismatchAfterPrune("pruning did not reduce the graph")
     return pruned
@@ -129,31 +129,37 @@ def group_flops_savings(g: ComputationGraph, part: PartitionResult) -> list[int]
     part.zigs.
 
     Groups of one component have identical shapes, so each component's
-    first group stands for all of them. One pass over the vertices finds
-    those whose output channels, or whose first input's channels, such a
-    group owns (``part.channel_groups``), narrows each one's kind as
-    ``prune`` would (``narrow`` without parameters) and takes the
-    difference of the kind's ``flops`` before and after. A component of
+    first group stands for all of them. One ``np.unique`` over every
+    vertex's ``part.channel_groups`` counts the channels such a group owns;
+    each vertex where it owns output channels, or its first input's, has its
+    kind narrowed as ``prune`` would (``narrow`` without parameters), and the
+    kind's ``flops`` before and after differ by the saving. A component of
     width 1 can never lose its only group and saves 0.
     """
-    first = {z.position: z.component_id for z in part.zigs
-             if z.group_index == 0 and part.widths[z.component_id] > 1}
-    saving = [0] * len(part.widths)
-    for vid in g.topo_order:
+    widths = np.array(part.widths, dtype=np.intp)
+    first = np.full(len(part.zigs) + 1, -1)  # a component's first group -> the component
+    first[(np.cumsum(widths) - widths)[widths > 1]] = np.flatnonzero(widths > 1)
+    vids, tables = list(part.channel_groups), list(part.channel_groups.values())
+    owners = first[np.concatenate(tables)]
+    row = np.repeat(np.arange(len(vids)), [len(t) for t in tables])
+    keys, counts = np.unique((row * len(widths) + owners)[owners >= 0], return_counts=True)
+    owned = {vid: {} for vid in vids}  # vid -> {component: channels its first group owns}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        owned[vids[key // len(widths)]][key % len(widths)] = count
+    saving = [0] * len(widths)
+    for vid, outs in owned.items():
         vx, preds = g.vertices[vid], g.preds[vid]
-        out = part.channel_groups[vid]
-        ins = part.channel_groups[preds[0]] if preds else []
-        touched = first.keys() & {*out, *ins}
-        if not touched:
+        ins = owned[preds[0]] if preds else {}
+        if not (outs or ins):
             continue
         full = vx.kind.flops(vx.out_shape, len(preds))
-        for p in touched:
-            kept = len(out) - out.count(p)
-            in_map = range(len(ins) - ins.count(p)) if preds else None
+        for ci in outs.keys() | ins.keys():
+            kept = vx.out_shape[1] - outs.get(ci, 0)
+            in_map = range(g.vertices[preds[0]].out_shape[1] - ins.get(ci, 0)) if preds else None
             kind, _ = vx.kind.narrow(None, range(kept), in_map)
             shape = (vx.out_shape[0], kept, *vx.out_shape[2:])
-            saving[first[p]] += full - kind.flops(shape, len(preds))
-    return [saving[z.component_id] for z in part.zigs]
+            saving[ci] += full - kind.flops(shape, len(preds))
+    return np.repeat(saving, widths).tolist()
 
 
 def compress(g: ComputationGraph, part: PartitionResult,

@@ -167,7 +167,7 @@ def evaluate_graph(g, x, y, loss: str, batch=None):
 
 
 def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
-                   frozen_ids: list[int]):
+                   frozen_ids: np.ndarray):
     """A copy of g without the given groups, to train on in g's place.
 
     Returns (copy, channel maps, keep, the copy's ParamIndex): keep[i] is
@@ -190,7 +190,7 @@ def _narrowed_copy(g, part: PartitionResult, index: ParamIndex, x: np.ndarray,
     return small, maps, keep, small_index
 
 
-def _write_back_running_stats(g, small, maps: dict[int, list[int]]) -> None:
+def _write_back_running_stats(g, small, maps: dict[int, np.ndarray]) -> None:
     """Copy the training copy's BatchNorm running statistics into g at the
     channels the copy kept; a removed channel keeps its last value."""
     for vid, vx in small.vertices.items():
@@ -236,7 +236,7 @@ def train_graph(g, part: PartitionResult, data: ClassificationData,
     rows = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        frozen = np.flatnonzero(opt.frozen).tolist()
+        frozen = np.flatnonzero(opt.frozen)
         if len(frozen) > n_frozen:
             n_frozen = len(frozen)
             _write_back_running_stats(g, small, maps)
@@ -326,10 +326,7 @@ def compress_and_verify(g, part: PartitionResult, cfg: ExperimentConfig, output_
     small, mask = compress(g, part)
     save_graph(small, os.path.join(output_dir, "graph_compressed.json"))
     flops_small, params_small = count_flops_params(small)
-    removed = {
-        str(ci): part.widths[ci] - len(mask.survivors.get(ci, []))
-        for ci in range(len(part.widths)) if part.widths[ci]
-    }
+    removed = {str(ci): part.widths[ci] - len(kept) for ci, kept in mask.survivors.items()}
     sizes = {
         "removed_groups_per_component": removed,
         "flops_full": flops_full, "params_full": params_full,

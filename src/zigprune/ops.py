@@ -117,13 +117,7 @@ def _col2im(dwin: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
     return dxp
 
 
-def _conv_columns(in_map: list[int], kernel: int) -> np.ndarray:
-    kk = kernel * kernel
-    return np.concatenate([np.arange(c * kk, (c + 1) * kk) for c in in_map]) \
-        if in_map else np.empty(0, dtype=int)
-
-
-def _narrow_stem(params: ParameterSet, keep_rows: list[int], cols) -> None:
+def _narrow_stem(params: ParameterSet, keep_rows: np.ndarray, cols: np.ndarray) -> None:
     """Keep the weight's rows ``keep_rows`` and columns ``cols``, and the
     bias at ``keep_rows``."""
     params.weight = params.weight[np.ix_(keep_rows, cols)]
@@ -222,10 +216,10 @@ class OpKind:
         ``forward``'s does for one forward pass."""
         return [dout]
 
-    def narrow(self, params, keep_rows: list[int], in_map: Optional[list[int]]):
+    def narrow(self, params, keep_rows: np.ndarray, in_map: Optional[np.ndarray]):
         """(kind, params) keeping output rows ``keep_rows`` and the input
-        channels ``in_map`` (None: all); ``params`` is a private copy, or
-        None to narrow the kind alone."""
+        channels ``in_map`` (index arrays; None: all); ``params`` is a
+        private copy, or None to narrow the kind alone from the lengths."""
         return self, params
 
     def channel_codes(self, codes: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
@@ -306,9 +300,10 @@ class Conv2d(OpKind):
 
     def narrow(self, params, keep_rows, in_map):
         if in_map is None:
-            in_map = list(range(self.in_channels))
+            in_map = np.arange(self.in_channels)
         if params is not None:
-            _narrow_stem(params, keep_rows, _conv_columns(in_map, self.kernel))
+            kk = self.kernel * self.kernel  # weight columns per input channel
+            _narrow_stem(params, keep_rows, (in_map[:, None] * kk + np.arange(kk)).ravel())
         return replace(self, in_channels=len(in_map), out_channels=len(keep_rows)), params
 
 
@@ -362,7 +357,7 @@ class Linear(OpKind):
 
     def narrow(self, params, keep_rows, in_map):
         if in_map is None:
-            in_map = list(range(self.in_features))
+            in_map = np.arange(self.in_features)
         if params is not None:
             _narrow_stem(params, keep_rows, in_map)
         return replace(self, in_features=len(in_map), out_features=len(keep_rows)), params
@@ -482,9 +477,8 @@ class BatchNorm(OpKind):
         if in_map is None or len(in_map) == self.channels:
             return self, params
         if params is not None:
-            keep = np.asarray(in_map)
             for role in ("gamma", "beta", "running_mean", "running_var"):
-                setattr(params, role, getattr(params, role)[keep])
+                setattr(params, role, getattr(params, role)[in_map])
         return replace(self, channels=len(in_map)), params
 
 

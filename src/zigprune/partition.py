@@ -124,9 +124,9 @@ class PartitionResult:
     zigs: list[ZeroInvariantGroup]
     excluded: list[ExcludedComponent]
     widths: list[int]  # groups per component (0 for stemless / excluded)
-    # per vertex: position in zigs of the group controlling each output
-    # channel (-1: none); surgery reads it, to_doc leaves it out
-    channel_groups: dict[int, list[int]]
+    # per vertex: read-only index array of the position in zigs of the group
+    # controlling each output channel (-1: none); to_doc leaves it out
+    channel_groups: dict[int, np.ndarray]
     table: GroupTable = field(repr=False)
 
     def coloring(self) -> dict[int, int]:
@@ -316,6 +316,8 @@ def form_zigs(g: ComputationGraph,
     kept = np.repeat(np.array(widths) > 0, stem_widths)
     code_group = np.append(np.where(kept, np.cumsum(kept) - 1, -1), -1)
     owners = {vid: code_group[orig] for vid, orig in origins.items()}
+    for rows in owners.values():
+        rows.flags.writeable = False
 
     # Every trainable array has one row per output channel, so row k of a
     # vertex belongs to group owners[vid][k]. A vertex of an excluded
@@ -349,8 +351,7 @@ def form_zigs(g: ComputationGraph,
     if stray_params:
         excluded.append(ExcludedComponent(-1, "no-producer", stray_params))
     return PartitionResult(components=comps, zigs=zigs, excluded=excluded, widths=widths,
-                           channel_groups={vid: o.tolist() for vid, o in owners.items()},
-                           table=table)
+                           channel_groups=owners, table=table)
 
 
 def partition(g: ComputationGraph) -> PartitionResult:

@@ -3,9 +3,11 @@
 ``conv_chain`` and ``random_small_dag`` build graphs for scaling runs and
 property tests, ``graphs_structurally_equal`` compares two graphs,
 ``randomized`` gives a graph non-default BatchNorm statistics and biases,
-and ``time_partition`` and ``run_runtime_bench`` time the partition and a
-training epoch for acceptance criteria 8 and 9. pytest does not collect
-this module: its name does not start with ``test_``.
+``oracle_mask``, ``oracle_channel_maps`` and ``oracle_pruned_doc`` redo
+surgery group by group and channel by channel, and ``time_partition`` and
+``run_runtime_bench`` time the partition and a training epoch for
+acceptance criteria 8 and 9. pytest does not collect this module: its name
+does not start with ``test_``.
 """
 
 import dataclasses
@@ -15,7 +17,8 @@ import time
 import numpy as np
 
 from zigprune.dhspg import OptimizerConfig
-from zigprune.graph import ComputationGraph, build_graph, init_params
+from zigprune.errors import AllGroupsZeroInComponent
+from zigprune.graph import ComputationGraph, build_graph, graph_to_doc, init_params
 from zigprune.harness import (ExperimentConfig, build_dataset, build_experiment_graph,
                               rng_streams, train_graph)
 from zigprune.partition import partition
@@ -154,6 +157,59 @@ def randomized(g, rng):
         if p.bias is not None:
             p.bias = rng.normal(0.0, 0.2, p.bias.shape)
     return g
+
+
+def oracle_mask(part, zero_group_ids):
+    """(flags, survivors) as lists, made group by group: a flag per
+    position in part.zigs, and per component its unflagged group indices
+    in order. Raises AllGroupsZeroInComponent when a component keeps none."""
+    zero_ids = set(zero_group_ids)
+    flags = [i in zero_ids for i in range(len(part.zigs))]
+    survivors = {}
+    for z, flagged in zip(part.zigs, flags):
+        if not flagged:
+            survivors.setdefault(z.component_id, []).append(z.group_index)
+    for ci, width in enumerate(part.widths):
+        if width:
+            kept = sorted(survivors.get(ci, []))
+            if not kept:
+                raise AllGroupsZeroInComponent(f"component {ci}: all {width} groups")
+            survivors[ci] = kept
+    return flags, survivors
+
+
+def oracle_channel_maps(part, flags):
+    """Per vertex, the list of its output channels whose group (from
+    part.channel_groups) is unflagged or absent, channel by channel."""
+    return {vid: [k for k, gi in enumerate(groups.tolist()) if gi < 0 or not flags[gi]]
+            for vid, groups in part.channel_groups.items()}
+
+
+def oracle_pruned_doc(g, maps):
+    """graph_to_doc of g cut to ``maps`` (per vertex, its surviving output
+    channels), narrowed in the document channel by channel: a stem keeps its
+    rows and the weight columns of its input's surviving channels (k*k per
+    channel for a convolution), a BatchNorm its input's channels."""
+    doc = graph_to_doc(g)
+    for vdoc in doc["vertices"]:
+        vid, params = vdoc["id"], vdoc.get("params")
+        ins = maps[g.preds[vid][0]] if g.preds[vid] else None
+        if vdoc["op"] in ("conv2d", "linear"):
+            n_in, n_out = (("in_channels", "out_channels") if vdoc["op"] == "conv2d"
+                           else ("in_features", "out_features"))
+            ins = list(range(vdoc[n_in])) if ins is None else ins
+            kk = vdoc.get("kernel", 1) ** 2
+            cols = [c * kk + j for c in ins for j in range(kk)]
+            rows = maps[vid]
+            params["weight"] = [[params["weight"][r][c] for c in cols] for r in rows]
+            if "bias" in params:
+                params["bias"] = [params["bias"][r] for r in rows]
+            vdoc[n_in], vdoc[n_out] = len(ins), len(rows)
+        elif vdoc["op"] == "batch_norm" and ins is not None:
+            for role in ("gamma", "beta", "running_mean", "running_var"):
+                params[role] = [params[role][c] for c in ins]
+            vdoc["channels"] = len(ins)
+    return doc
 
 
 def time_partition(n_vertices: int, repeats: int = 3) -> float:

@@ -16,10 +16,12 @@ from zigprune.compression import (
 )
 from zigprune.engine import EVAL_BATCH, forward
 from zigprune.errors import AllGroupsZeroInComponent, ConfigError
-from zigprune.graph import count_flops_params, infer_shapes, load_graph
+from zigprune.graph import (build_graph, count_flops_params, graph_to_doc, infer_shapes,
+                            init_params, load_graph)
 from zigprune.partition import partition, zero_group
 
-from graphs import conv_chain, graphs_structurally_equal, random_small_dag, randomized
+from graphs import (conv_chain, graphs_structurally_equal, oracle_channel_maps, oracle_mask,
+                    oracle_pruned_doc, random_small_dag, randomized)
 
 
 def slice_view(g, s):
@@ -72,7 +74,7 @@ def test_detect_flags_exact_zero_groups_only():
     mask = detect_zero_groups(g, part)
     assert mask.zero_flags[2] and mask.zero_flags[3]
     assert not mask.zero_flags[4]
-    assert mask.survivors[0] == [j for j in range(16) if j not in (2, 3)]
+    assert mask.survivors[0].tolist() == [j for j in range(16) if j not in (2, 3)]
 
 
 def test_all_groups_zero_raises():
@@ -107,9 +109,9 @@ def test_channel_map_concat_offsets():
     # components: conv0 (3 groups), conv1 (3 groups); conv3 is output-adjacent
     mask = make_mask(part, [1, 3, 5])  # conv0 keeps [0, 2]; conv1 keeps [1]
     maps = build_channel_maps(g, part, mask)
-    assert maps[0] == [0, 2]
-    assert maps[1] == [1]
-    assert maps[2] == [0, 2, 4]
+    assert maps[0].tolist() == [0, 2]
+    assert maps[1].tolist() == [1]
+    assert maps[2].tolist() == [0, 2, 4]
 
 
 def test_channel_map_sd_add_shares_survivors():
@@ -118,11 +120,11 @@ def test_channel_map_sd_add_shares_survivors():
     mask = make_mask(part, [16, 18])  # branch-B groups 0 and 2
     maps = build_channel_maps(g, part, mask)
     survivors = [j for j in range(16) if j not in (0, 2)]
-    assert maps[3] == survivors
-    assert maps[4] == survivors
-    assert maps[5] == survivors
+    assert maps[3].tolist() == survivors
+    assert maps[4].tolist() == survivors
+    assert maps[5].tolist() == survivors
     # concat output: full branch A then shifted branch B survivors
-    assert maps[9] == list(range(16)) + [16 + j for j in survivors]
+    assert maps[9].tolist() == list(range(16)) + [16 + j for j in survivors]
 
 
 def test_channel_map_flatten_block_expansion():
@@ -144,7 +146,7 @@ def test_channel_map_flatten_block_expansion():
     part = partition(g)
     mask = make_mask(part, [0])  # drop channel 0 of the conv, keep [1]
     maps = build_channel_maps(g, part, mask)
-    assert maps[2] == [4, 5, 6, 7]
+    assert maps[2].tolist() == [4, 5, 6, 7]
 
 
 def test_channel_table_matches_pruned_shapes():
@@ -163,7 +165,7 @@ def test_channel_table_matches_pruned_shapes():
                 if vid != small.output_id:
                     assert len(maps[vid]) == vx.out_shape[1], vid
             for p in g.preds[g.output_id]:
-                assert maps[p] == list(range(g.vertices[p].out_shape[1]))
+                assert maps[p].tolist() == list(range(g.vertices[p].out_shape[1]))
 
 
 def test_prune_returns_a_shaped_graph():
@@ -498,7 +500,7 @@ def test_detect_zero_groups_matches_group_is_zero():
         part = partition(g)
         zero_at_random(g, part, rng)
         want = [group_is_zero(g, z) for z in part.zigs]
-        assert detect_zero_groups(g, part).zero_flags == want
+        assert detect_zero_groups(g, part).zero_flags.tolist() == want
         flagged += sum(want)
     assert flagged > 100
 
@@ -514,6 +516,59 @@ def test_detect_zero_groups_on_benchmark_wide_graph(monkeypatch):
     part = partition(g)
     for i in range(0, len(part.zigs), 2):
         zero_group(g, part.zigs[i])
-    flags = detect_zero_groups(g, part).zero_flags
+    flags = detect_zero_groups(g, part).zero_flags.tolist()
     assert flags == [group_is_zero(g, z) for z in part.zigs]
     assert sum(flags) == w.GROUPS // 2
+
+
+def test_make_mask_rejects_positions_outside_the_groups():
+    g = demo_net(seed=1)
+    part = partition(g)
+    n = len(part.zigs)
+    for ids, first_bad in (([-1], -1), ([n], n), ([n + 5], n + 5), ([3, n, -2], n)):
+        with pytest.raises(ConfigError, match=rf"group position {first_bad} is outside \[0, {n}\)"):
+            make_mask(part, ids)
+    # a repeated position flags its group once
+    mask = make_mask(part, [3, 3, np.intp(3)])
+    assert mask.zero_group_count() == 1 and mask.zero_flags[3]
+    assert make_mask(part, np.empty(0, dtype=np.intp)).empty
+
+
+def test_surgery_arrays_match_the_group_by_group_oracle(monkeypatch):
+    import os
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from workloads import resnet_doc, wide_doc
+    rng = np.random.default_rng(29)
+    graphs = [make(seed=7) for _, make in sorted(BUILDERS.items())]
+    graphs += [random_small_dag(rng) for _ in range(100)]
+    graphs.append(conv_chain(50, seed=3))
+    for doc in (wide_doc(4000, 8, 4), resnet_doc(30, 4, [4] * 30)):
+        graphs.append(init_params(build_graph(doc), rng))
+    outcomes = {True: 0, False: 0}
+    for g in graphs:
+        randomized(g, rng)
+        part = partition(g)
+        n = len(part.zigs)
+        draws = [random_mask_ids(part, rng), np.flatnonzero(rng.random(n) < 0.3),
+                 np.flatnonzero(rng.random(n) < 0.7)]
+        for ids in draws:
+            ids = np.asarray(ids, dtype=np.intp)
+            ids = rng.permutation(np.concatenate([ids, ids[:2]]))  # repeats are allowed
+            flagged = set(ids.tolist())
+            emptied = any(all(z.position in flagged for z in part.zigs if z.component_id == ci)
+                          for ci, width in enumerate(part.widths) if width)
+            outcomes[emptied] += 1
+            if emptied:
+                for make in (make_mask, oracle_mask):
+                    with pytest.raises(AllGroupsZeroInComponent):
+                        make(part, ids)
+                continue
+            mask = make_mask(part, ids)
+            flags, survivors = oracle_mask(part, ids.tolist())
+            assert mask.zero_flags.tolist() == flags
+            assert {ci: kept.tolist() for ci, kept in mask.survivors.items()} == survivors
+            maps = build_channel_maps(g, part, mask)
+            want = oracle_channel_maps(part, flags)
+            assert {vid: m.tolist() for vid, m in maps.items()} == want
+            assert graph_to_doc(prune(g, mask, maps)) == oracle_pruned_doc(g, want)
+    assert outcomes[True] > 50 and outcomes[False] > 150

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zigprune.builders import demo_net, residual_block_net, stacked_unets_mini
-from zigprune.compression import compress, make_mask, verify_equivalence
+from zigprune.compression import compress, detect_zero_groups, make_mask, verify_equivalence
 from zigprune.engine import forward
 from zigprune.errors import InconsistentStemWidths
 from zigprune.graph import (ACCESSORY, SD_JOINT, STEM, UNKNOWN, build_graph, graph_to_doc,
@@ -339,7 +339,7 @@ def test_channel_table_owns_every_group_slice():
         slice_owner = {}
         for i, z in enumerate(part.zigs):
             for s in z.slices:
-                assert part.channel_groups[s.vertex_id][s.start:s.stop] == \
+                assert part.channel_groups[s.vertex_id][s.start:s.stop].tolist() == \
                     [i] * (s.stop - s.start)
                 for k in range(s.start, s.stop):
                     slice_owner[(s.vertex_id, s.role, k)] = i
@@ -351,6 +351,23 @@ def test_channel_table_owns_every_group_slice():
                 for k, owner in enumerate(part.channel_groups[vid]):
                     if owner >= 0:
                         assert slice_owner.get((vid, role, k)) == owner, (vid, role, k)
+
+
+def test_channel_table_is_read_only():
+    g = demo_net(seed=0)
+    part = partition(g)
+    for vid, owners in part.channel_groups.items():
+        assert owners.dtype == np.intp and not owners.flags.writeable
+        if owners.size:
+            with pytest.raises(ValueError):
+                part.channel_groups[vid][0] = 0
+    assert all(owners is part.channel_groups[vid] for vid, owners, _ in part.table.grouped)
+    # the three readers of the table still work
+    index = ParamIndex(g)
+    idx, off = index.group_table(part.table)
+    assert off[-1] == idx.size > 0
+    zero_group(g, part.zigs[5])
+    assert detect_zero_groups(g, part).zero_flags.tolist() == [i == 5 for i in range(len(part.zigs))]
 
 
 def test_batchnorm_on_graph_input_has_no_producer():
@@ -376,7 +393,7 @@ def test_batchnorm_rows_tally_to_their_producers_component():
     assert part.excluded == [
         ExcludedComponent(comp_of[0], "contains-unknown", 3 * 2 + 3 + 2 * 3),
         ExcludedComponent(comp_of[5], "output-adjacent", 2 * 6 + 2)]
-    assert part.channel_groups[4] == [-1, -1, -1, 0, 1, 2]
+    assert part.channel_groups[4].tolist() == [-1, -1, -1, 0, 1, 2]
     for j, z in enumerate(part.zigs):
         assert z.slices == [ParamSlice(1, "weight_row", j, j + 1),
                             ParamSlice(1, "bias", j, j + 1),
